@@ -8,7 +8,7 @@
 //! Compares a freshly assembled accuracy matrix against the committed
 //! baseline and exits non-zero listing every violated contract clause:
 //! a per-cell F1 or recall drop beyond the band, a missing cell, or a
-//! NaN / out-of-[0,1] metric.
+//! NaN / out-of-`[0, 1]` metric.
 
 use matelda_bench::eval::{compare_eval, EvalGateConfig};
 use matelda_bench::json::Json;

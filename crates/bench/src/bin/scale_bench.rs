@@ -67,10 +67,9 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-/// Replaces (or adds) the `scale` section in `BENCH_stages.json`,
-/// upgrading a legacy top-level `"scale":"<sweep>"` string to the
-/// modern `sweep` key on the way. Everything else in the file is
-/// preserved — the stages bench owns the rest.
+/// Replaces (or adds) the `scale` section in `BENCH_stages.json`.
+/// Everything else in the file is preserved — the stages bench owns the
+/// rest.
 fn merge_scale_section(path: &str, section: Json) -> std::io::Result<()> {
     let doc = std::fs::read_to_string(path)
         .ok()
@@ -79,16 +78,7 @@ fn merge_scale_section(path: &str, section: Json) -> std::io::Result<()> {
     let Json::Obj(fields) = doc else {
         return Err(std::io::Error::other("BENCH_stages.json is not an object"));
     };
-    let mut out: Vec<(String, Json)> = Vec::with_capacity(fields.len() + 2);
-    for (k, v) in fields {
-        match (k.as_str(), &v) {
-            ("scale", Json::Str(_)) if !out.iter().any(|(k, _)| k == "sweep") => {
-                out.push(("sweep".into(), v));
-            }
-            ("scale", _) => {} // replaced below
-            _ => out.push((k, v)),
-        }
-    }
+    let mut out: Vec<(String, Json)> = fields.into_iter().filter(|(k, _)| k != "scale").collect();
     out.push(("scale".into(), section));
     std::fs::write(path, Json::Obj(out).render() + "\n")
 }

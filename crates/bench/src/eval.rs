@@ -121,9 +121,8 @@ impl EvalCell {
         Json::Obj(fields)
     }
 
-    /// Parses a cell; `default_scale` (the matrix-level scale) covers
-    /// files written before cells carried their own scale.
-    fn from_json(v: &Json, default_scale: &str) -> Result<Self, String> {
+    /// Parses a cell.
+    fn from_json(v: &Json) -> Result<Self, String> {
         let text = |key: &str| {
             v.get(key)
                 .and_then(Json::as_str)
@@ -133,7 +132,7 @@ impl EvalCell {
         let num = |key: &str| v.get(key).and_then(Json::as_num);
         Ok(EvalCell {
             experiment: text("experiment")?,
-            scale: v.get("scale").and_then(Json::as_str).unwrap_or(default_scale).to_string(),
+            scale: text("scale")?,
             template: text("template")?,
             system: text("system")?,
             error_type: text("error_type")?,
@@ -162,8 +161,7 @@ impl EvalCell {
 }
 
 /// A full accuracy matrix. Cells carry their own scale; the matrix-level
-/// `scale` records the last writer's scale (and is the parse-time
-/// default for cells from files written before the per-cell field).
+/// `scale` records the last writer's scale.
 #[derive(Debug, Clone, Default)]
 pub struct EvalMatrix {
     /// The `MATELDA_SCALE` of the most recent flush into this file.
@@ -182,7 +180,7 @@ impl EvalMatrix {
             .and_then(Json::as_arr)
             .ok_or("matrix missing `cells`")?
             .iter()
-            .map(|c| EvalCell::from_json(c, &scale))
+            .map(EvalCell::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(EvalMatrix { scale, cells })
     }

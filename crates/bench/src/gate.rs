@@ -13,8 +13,8 @@
 //!   `observability`, `serve`, `storage`) must stay within its own
 //!   `target_pct` budget in the fresh results;
 //! * the two files must have been produced at the same `MATELDA_SCALE`
-//!   sweep size (throughput at different sweep sizes is not comparable;
-//!   the key is `sweep`, with a fallback to the legacy `scale` string);
+//!   `sweep` size (throughput at different sweep sizes is not
+//!   comparable);
 //! * when the baseline carries a `scale` section (the out-of-core scale
 //!   tier produced by `scale_bench`), the fresh results must carry one
 //!   too, at the same tier, with `digest_ok` true, peak RSS under both
@@ -69,15 +69,10 @@ const OVERHEAD_SECTIONS: [&str; 5] =
 pub fn compare(baseline: &Json, fresh: &Json, cfg: GateConfig) -> Vec<String> {
     let mut violations = Vec::new();
 
-    // The sweep size lives under `sweep`; older files spelled it
-    // `scale` (a string — the modern `scale` key is the out-of-core
-    // section object, on which `as_str` is `None`, so the fallback
-    // cannot misread it).
+    // The sweep size lives under `sweep` (`scale` is the out-of-core
+    // section object).
     fn sweep_of(doc: &Json) -> &str {
-        doc.get("sweep")
-            .and_then(Json::as_str)
-            .or_else(|| doc.get("scale").and_then(Json::as_str))
-            .unwrap_or("?")
+        doc.get("sweep").and_then(Json::as_str).unwrap_or("?")
     }
     let b_scale = sweep_of(baseline);
     let f_scale = sweep_of(fresh);
@@ -177,12 +172,10 @@ fn check_scale_section(
     cfg: GateConfig,
     violations: &mut Vec<String>,
 ) {
-    // Only the modern object form counts; a legacy `"scale":"full"`
-    // string is the sweep size, not this section.
-    let Some(base) = baseline.get("scale").filter(|s| matches!(s, Json::Obj(_))) else {
+    let Some(base) = baseline.get("scale") else {
         return;
     };
-    let Some(found) = fresh.get("scale").filter(|s| matches!(s, Json::Obj(_))) else {
+    let Some(found) = fresh.get("scale") else {
         violations.push("scale section present in baseline but missing from fresh results".into());
         return;
     };
@@ -350,12 +343,12 @@ mod tests {
 
         // A fresh file missing the per-thread keys entirely fails too.
         let bare = Json::parse(
-            r#"{"scale":"full","stages":[{"stage":"embed","items_per_sec_1t":1e9,
+            r#"{"sweep":"full","stages":[{"stage":"embed","items_per_sec_1t":1e9,
                 "items_per_sec_2t":1e9,"speedup_2t":9.9}]}"#,
         )
         .unwrap();
         let stripped =
-            Json::parse(r#"{"scale":"full","stages":[{"stage":"embed","items_per_sec_1t":1e9}]}"#)
+            Json::parse(r#"{"sweep":"full","stages":[{"stage":"embed","items_per_sec_1t":1e9}]}"#)
                 .unwrap();
         assert!(compare(&bare, &stripped, GateConfig::default()).is_empty());
         let v = compare(&bare, &stripped, strict);
@@ -369,15 +362,15 @@ mod tests {
     #[test]
     fn gate_flags_missing_stage_and_scale_mismatch() {
         let baseline = Json::parse(
-            r#"{"scale":"full","stages":[{"stage":"embed","items_per_sec_1t":100.0}]}"#,
+            r#"{"sweep":"full","stages":[{"stage":"embed","items_per_sec_1t":100.0}]}"#,
         )
         .unwrap();
-        let empty = Json::parse(r#"{"scale":"full","stages":[]}"#).unwrap();
+        let empty = Json::parse(r#"{"sweep":"full","stages":[]}"#).unwrap();
         let v = compare(&baseline, &empty, GateConfig::default());
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("missing"));
 
-        let quick = Json::parse(r#"{"scale":"quick","stages":[]}"#).unwrap();
+        let quick = Json::parse(r#"{"sweep":"quick","stages":[]}"#).unwrap();
         let v = compare(&baseline, &quick, GateConfig::default());
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("scale mismatch"));
@@ -394,27 +387,6 @@ mod tests {
                                     {{"stage":"domain_folds","cells_per_sec":{fold_cps}}}]}}}}"#
         ))
         .unwrap()
-    }
-
-    #[test]
-    fn legacy_scale_string_and_modern_sweep_key_interoperate() {
-        // Pre-rename files spell the sweep size `"scale":"full"`; the
-        // modern writer spells it `"sweep":"full"` and uses `scale` for
-        // the out-of-core section. Both directions must compare cleanly.
-        let legacy = Json::parse(r#"{"scale":"full","stages":[]}"#).unwrap();
-        let modern = scale_doc(400e6, true, 100e3);
-        assert!(compare(&legacy, &modern, GateConfig::default()).is_empty());
-        // A modern baseline against a legacy fresh file: the scale
-        // section is missing from fresh, which is a violation — but the
-        // sweep sizes still match (no spurious "scale mismatch").
-        let v = compare(&modern, &legacy, GateConfig::default());
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("scale section") && v[0].contains("missing"));
-        // Genuinely different sweep sizes are still caught across forms.
-        let quick = Json::parse(r#"{"sweep":"quick","stages":[]}"#).unwrap();
-        let v = compare(&legacy, &quick, GateConfig::default());
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("scale mismatch"));
     }
 
     #[test]
@@ -465,12 +437,12 @@ mod tests {
     #[test]
     fn gate_flags_blown_overhead_budget() {
         let baseline = Json::parse(
-            r#"{"scale":"full","stages":[],
+            r#"{"sweep":"full","stages":[],
                 "observability":{"overhead_pct":1.0,"target_pct":5.0}}"#,
         )
         .unwrap();
         let blown = Json::parse(
-            r#"{"scale":"full","stages":[],
+            r#"{"sweep":"full","stages":[],
                 "observability":{"overhead_pct":7.5,"target_pct":5.0}}"#,
         )
         .unwrap();
@@ -479,7 +451,7 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("observability") && v[0].contains("7.50%"));
         // Section disappearing entirely is also a violation.
-        let gone = Json::parse(r#"{"scale":"full","stages":[]}"#).unwrap();
+        let gone = Json::parse(r#"{"sweep":"full","stages":[]}"#).unwrap();
         let v = compare(&baseline, &gone, GateConfig::default());
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("missing"));

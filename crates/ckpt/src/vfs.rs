@@ -483,7 +483,7 @@ pub struct AtomicCommit {
     pub retries: u32,
 }
 
-/// The out-of-core table layer reads and writes through [`ChunkSource`]
+/// The out-of-core table layer reads and writes through [`ChunkSource`](matelda_table::chunked::ChunkSource)
 /// (`matelda-table` cannot depend on this crate); plugging the `Vfs` in
 /// here routes every chunked column read and columnar write of the
 /// scale tier through the same injection gate, op counter and disk

@@ -71,14 +71,17 @@ use crate::domain_fold::{
 };
 use crate::pipeline::{FaultPolicy, LabelingStrategy, MateldaConfig, TrainingStrategy};
 use crate::quality_fold::{budget_per_fold, quality_folds, single_quality_fold, QualityFold};
-use matelda_detect::{featurize_table, CellFeatures};
+use matelda_detect::{featurize_table, load_features, spill_features, spill_path, CellFeatures};
 use matelda_embed::encoder::HashedEncoder;
 use matelda_exec::{faultpoint, Deadline, Executor, ItemFault, RunReport, StageReport};
 use matelda_ml::FittedClassifier;
 use matelda_obs::{Buckets, Obs, Val};
+use matelda_table::chunked::{ChunkSource, ChunkedError, ColumnarReader};
 use matelda_table::oracle::Labeler;
-use matelda_table::{CellId, CellMask, Lake};
+use matelda_table::{CellId, CellMask, Lake, Table};
 use matelda_text::SpellChecker;
+use std::borrow::Cow;
+use std::path::{Path, PathBuf};
 
 pub use crate::domain_fold::EmbeddedLake;
 
@@ -125,6 +128,23 @@ impl QuarantineReport {
     }
 }
 
+/// Where the per-table stages ([`EmbedStage`], [`FeaturizeStage`]) read
+/// cell values from — the driver's *table source* seam.
+pub(crate) enum TableSource<'a> {
+    /// The resident [`StageContext::lake`].
+    Resident,
+    /// A columnar lake directory: the context's lake is a shapes-only
+    /// skeleton, each work item reads its own table through `src`, and
+    /// featurize spills each table's features to `spill_dir` for the
+    /// driver to reload (see [`StageContext::reload_spills`]).
+    Columnar {
+        src: &'a dyn ChunkSource,
+        paths: &'a [PathBuf],
+        chunk_len: usize,
+        spill_dir: &'a Path,
+    },
+}
+
 /// Everything a stage needs besides its input artifact: the lake, the
 /// configuration slice (strategy knobs and the seed), the deterministic
 /// executor, and the run-wide instrumentation the stage appends to.
@@ -149,6 +169,11 @@ pub struct StageContext<'a> {
     /// registry and the event log all append here. Disabled by default
     /// — recording never influences results (DESIGN.md §7).
     pub obs: Obs,
+    /// Where embed and featurize read cell values (resident by default).
+    pub(crate) source: TableSource<'a>,
+    /// The lowest-index storage failure of the last per-table stage; the
+    /// driver returns it as a structured error, never a fault.
+    storage_error: Option<ChunkedError>,
 }
 
 impl<'a> StageContext<'a> {
@@ -191,6 +216,8 @@ impl<'a> StageContext<'a> {
             quarantine: QuarantineReport::default(),
             deadline: None,
             obs,
+            source: TableSource::Resident,
+            storage_error: None,
         }
     }
 
@@ -237,6 +264,77 @@ impl<'a> StageContext<'a> {
         if !self.quarantine.tables.contains(&table) {
             self.quarantine.tables.push(table);
         }
+    }
+
+    /// Table `ti` with its cell values: borrowed from a resident lake, or
+    /// read through the columnar source.
+    fn table(&self, ti: usize) -> Result<Cow<'_, Table>, ChunkedError> {
+        match &self.source {
+            TableSource::Resident => Ok(Cow::Borrowed(&self.lake.tables[ti])),
+            TableSource::Columnar { src, paths, chunk_len, .. } => {
+                Ok(Cow::Owned(ColumnarReader::open(*src, &paths[ti])?.read_table(*chunk_len)?))
+            }
+        }
+    }
+
+    /// Maps `f` over every table on the executor, fault-isolated and
+    /// under the stage's watchdog deadline. `f` reads its table through
+    /// [`StageContext::table`] inside its own work item, so a columnar
+    /// source has at most `executor.threads()` tables resident. A faulted
+    /// table is quarantined and its slot holds `placeholder(ti)`; so is
+    /// a table whose storage failed, which is no fault — the lowest-index
+    /// failure waits for [`StageContext::storage_failure`].
+    fn map_tables<R: Send>(
+        &mut self,
+        stage: &str,
+        placeholder: impl Fn(usize) -> R,
+        f: impl Fn(&Self, usize) -> Result<R, ChunkedError> + Sync,
+    ) -> Vec<R> {
+        let this = &*self;
+        let results =
+            this.executor
+                .try_map_n_within(stage, this.lake.n_tables(), this.deadline, |ti| f(this, ti));
+        let mut out = Vec::with_capacity(results.len());
+        let mut faults = Vec::new();
+        for (ti, r) in results.into_iter().enumerate() {
+            match r {
+                Ok(Ok(v)) => out.push(v),
+                Ok(Err(e)) => {
+                    self.storage_error.get_or_insert(e);
+                    out.push(placeholder(ti));
+                }
+                Err(fault) => {
+                    faults.push(fault);
+                    self.quarantine_table(ti);
+                    out.push(placeholder(ti));
+                }
+            }
+        }
+        self.note_faults(faults);
+        out
+    }
+
+    /// Takes the storage failure of the last per-table stage, if any.
+    pub(crate) fn storage_failure(&mut self) -> Result<(), ChunkedError> {
+        self.storage_error.take().map_or(Ok(()), Err)
+    }
+
+    /// After featurize: a columnar source reloads every surviving table's
+    /// `.mtf` spill in place of its placeholder; a resident one passes
+    /// the features through.
+    pub(crate) fn reload_spills(
+        &mut self,
+        mut featurized: FeaturizedLake,
+    ) -> Result<FeaturizedLake, ChunkedError> {
+        self.storage_failure()?;
+        if let TableSource::Columnar { src, spill_dir, .. } = &self.source {
+            for (ti, f) in featurized.features.iter_mut().enumerate() {
+                if !self.quarantine.table_quarantined(ti) {
+                    *f = load_features(*src, &spill_path(spill_dir, ti))?;
+                }
+            }
+        }
+        Ok(featurized)
     }
 }
 
@@ -415,29 +513,15 @@ impl Stage for EmbedStage {
             // never clustered) and the run continues.
             DomainFolding::Hdbscan | DomainFolding::RowSampling(_) => {
                 let encoder = &self.encoder;
-                let results = ctx.executor.try_map_within(
+                EmbeddedLake::Vectors(ctx.map_tables(
                     self.name(),
-                    &ctx.lake.tables,
-                    ctx.deadline,
-                    |ti, t| {
+                    |_| Vec::new(),
+                    |ctx, ti| {
+                        let table = ctx.table(ti)?;
                         faultpoint::hit("embed", ti);
-                        embed_table_for(cfg.domain_folding, encoder, cfg.seed, ti, t)
+                        Ok(embed_table_for(cfg.domain_folding, encoder, cfg.seed, ti, &table))
                     },
-                );
-                let mut vecs = Vec::with_capacity(results.len());
-                let mut faults = Vec::new();
-                for (ti, r) in results.into_iter().enumerate() {
-                    match r {
-                        Ok(v) => vecs.push(v),
-                        Err(fault) => {
-                            vecs.push(Vec::new());
-                            faults.push(fault);
-                            ctx.quarantine_table(ti);
-                        }
-                    }
-                }
-                ctx.note_faults(faults);
-                EmbeddedLake::Vectors(vecs)
+                ))
             }
             // Whole-lake strategies (EDF, Santos) have no per-table unit
             // of work to isolate; they run unguarded.
@@ -550,42 +634,33 @@ impl Stage for FeaturizeStage {
         stage: &mut StageReport,
     ) -> FeaturizedLake {
         let spell = &self.spell;
-        let cfg = &ctx.config.features;
+        let config = ctx.config;
+        let lake = ctx.lake;
         // Tables already quarantined (embed faults) get an empty
         // placeholder; any accidental feature access on one is an
         // out-of-bounds panic rather than silent garbage.
-        let placeholder = |t: &matelda_table::Table| {
-            CellFeatures::zeros(t.n_cols(), 0, matelda_detect::FEATURE_DIM)
-        };
-        let quarantined: Vec<bool> = {
-            let mut q = vec![false; ctx.lake.n_tables()];
-            for &t in &ctx.quarantine.tables {
-                q[t] = true;
+        let placeholder =
+            |ti: usize| CellFeatures::zeros(lake[ti].n_cols(), 0, matelda_detect::FEATURE_DIM);
+        let quarantined: Vec<bool> =
+            (0..lake.n_tables()).map(|t| ctx.quarantine.table_quarantined(t)).collect();
+        // A columnar source spills each table's features inside its own
+        // work item and keeps a placeholder; the driver reloads them.
+        let features = ctx.map_tables(self.name(), placeholder, |ctx, ti| {
+            if quarantined[ti] {
+                return Ok(placeholder(ti));
             }
-            q
-        };
-        let results =
-            ctx.executor.try_map_within(self.name(), &ctx.lake.tables, ctx.deadline, |ti, t| {
-                if quarantined[ti] {
-                    return placeholder(t);
-                }
-                faultpoint::hit("featurize", ti);
-                featurize_table(t, spell, cfg)
-            });
-        let mut features = Vec::with_capacity(results.len());
-        let mut faults = Vec::new();
-        for (ti, r) in results.into_iter().enumerate() {
-            match r {
-                Ok(f) => features.push(f),
-                Err(fault) => {
-                    features.push(placeholder(&ctx.lake.tables[ti]));
-                    faults.push(fault);
-                    ctx.quarantine_table(ti);
+            let table = ctx.table(ti)?;
+            faultpoint::hit("featurize", ti);
+            let features = featurize_table(&table, spell, &config.features);
+            match &ctx.source {
+                TableSource::Resident => Ok(features),
+                TableSource::Columnar { src, spill_dir, .. } => {
+                    spill_features(*src, &spill_path(spill_dir, ti), &features)?;
+                    Ok(placeholder(ti))
                 }
             }
-        }
-        ctx.note_faults(faults);
-        stage.items = ctx.lake.n_cells() as u64;
+        });
+        stage.items = lake.n_cells() as u64;
         FeaturizedLake { features }
     }
 }
@@ -703,6 +778,21 @@ impl Stage for QualityFoldStage {
 /// maps ~38 folds and parallel scheduling overhead outweighs the work.
 const LABEL_INLINE_THRESHOLD: usize = 32;
 
+/// The labels Step 2 plans for: the whole `budget`, or half of it when
+/// [`LabelingStrategy::UncertaintyRefinement`] (with per-column training
+/// and at least 4 labels) reserves the rest for [`LabelStage`]'s
+/// refinement phase.
+pub(crate) fn phase1_budget(config: &MateldaConfig, budget: usize) -> usize {
+    let adaptive = config.labeling == LabelingStrategy::UncertaintyRefinement
+        && config.training == TrainingStrategy::PerColumn
+        && budget >= 4;
+    if adaptive {
+        budget.div_ceil(2)
+    } else {
+        budget
+    }
+}
+
 /// Samples each labeled quality fold's anchor, queries the labeler and
 /// propagates the verdict (Steps 3+4), then optionally spends the
 /// remaining budget on uncertainty refinement. Anchor selection runs on
@@ -761,10 +851,7 @@ impl Stage for LabelStage<'_> {
 
         // Extension: uncertainty-driven refinement with the rest of the
         // budget (only reachable when the config reserved it).
-        let adaptive = cfg.labeling == LabelingStrategy::UncertaintyRefinement
-            && cfg.training == TrainingStrategy::PerColumn
-            && self.budget >= 4;
-        if adaptive {
+        if phase1_budget(cfg, self.budget) < self.budget {
             let remaining = self.budget.saturating_sub(phase1);
             refine_with_uncertainty(
                 ctx,
@@ -842,25 +929,33 @@ pub(crate) fn fit_column_models(
         .enumerate()
         .flat_map(|(t, table)| (0..table.n_cols()).map(move |c| (t, c)))
         .collect();
-    let models = ctx.executor.map(&columns, |_, &(t, c)| {
-        let table = &lake.tables[t];
-        let m = table.n_cols();
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        for r in 0..table.n_rows() {
-            if let Some(lab) = labels[t][r * m + c] {
-                x.push(featurized.features[t].get(r, c).to_vec());
-                y.push(lab);
-            }
-        }
-        FittedClassifier::fit_with(&ctx.config.classifier, &x, &y, &ctx.executor)
-    });
+    let models = ctx.executor.map(&columns, |_, &(t, c)| fit_column(ctx, featurized, labels, t, c));
     // Re-nest the flat, index-ordered model list per table.
     let mut nested: Vec<Vec<FittedClassifier>> = lake.tables.iter().map(|_| Vec::new()).collect();
     for ((t, _), model) in columns.into_iter().zip(models) {
         nested[t].push(model);
     }
     nested
+}
+
+/// Fits column `(t, c)`'s model on its labeled cells.
+fn fit_column(
+    ctx: &StageContext<'_>,
+    featurized: &FeaturizedLake,
+    labels: &[Vec<Option<bool>>],
+    t: usize,
+    c: usize,
+) -> FittedClassifier {
+    let m = ctx.lake[t].n_cols();
+    let mut x = Vec::new();
+    let mut y = Vec::new();
+    for r in 0..ctx.lake[t].n_rows() {
+        if let Some(lab) = labels[t][r * m + c] {
+            x.push(featurized.features[t].get(r, c).to_vec());
+            y.push(lab);
+        }
+    }
+    FittedClassifier::fit_with(&ctx.config.classifier, &x, &y, &ctx.executor)
 }
 
 /// One classifier per column (the paper's default), trained in parallel
@@ -887,18 +982,8 @@ fn train_per_column(
     let flagged: Vec<Result<(Vec<usize>, bool), ItemFault>> =
         ctx.executor.try_map_within("classify", &columns, ctx.deadline, |i, &(t, c)| {
             faultpoint::hit("classify", i);
-            let table = &lake.tables[t];
-            let m = table.n_cols();
-            let mut x = Vec::new();
-            let mut y = Vec::new();
-            for r in 0..table.n_rows() {
-                if let Some(lab) = labels[t][r * m + c] {
-                    x.push(featurized.features[t].get(r, c).to_vec());
-                    y.push(lab);
-                }
-            }
-            let model = FittedClassifier::fit_with(&ctx.config.classifier, &x, &y, &ctx.executor);
-            let rows = (0..table.n_rows())
+            let model = fit_column(ctx, featurized, labels, t, c);
+            let rows = (0..lake[t].n_rows())
                 .filter(|&r| model.predict(featurized.features[t].get(r, c)))
                 .collect();
             (rows, model.used_binned())
@@ -1153,71 +1238,5 @@ mod tests {
         assert!(result.report.stage("featurize").expect("exists").items > 0);
         assert!(result.report.stage("label").expect("exists").items > 0);
         assert_eq!(result.report.threads, 2);
-    }
-
-    #[test]
-    fn skip_policy_quarantines_faulted_table_and_completes() {
-        use crate::pipeline::FaultPolicy;
-        let lake = QuintetLake { rows_per_table: 25, error_rate: 0.1 }.generate(9);
-        let cfg = MateldaConfig { on_error: FaultPolicy::Skip, threads: 2, ..Default::default() };
-        let _guard = faultpoint::arm([("embed".to_string(), 1)]);
-        let mut oracle = Oracle::new(&lake.errors);
-        let result = crate::Matelda::new(cfg).detect(&lake.dirty, &mut oracle, 20);
-        assert_eq!(result.quarantine.tables, vec![1]);
-        assert_eq!(result.report.faults.len(), 1);
-        assert_eq!(result.report.faults[0].stage, "embed");
-        assert_eq!(result.report.faults[0].index, 1);
-        // Quarantined cells are unscored: nothing in table 1 is flagged.
-        let (rows, cols) = (lake.dirty[1].n_rows(), lake.dirty[1].n_cols());
-        for r in 0..rows {
-            for c in 0..cols {
-                assert!(!result.predicted.get(matelda_table::CellId::new(1, r, c)));
-            }
-        }
-        // The rest of the lake still gets predictions.
-        assert_eq!(result.predicted.n_cells(), lake.dirty.n_cells());
-    }
-
-    #[test]
-    fn fail_policy_panics_on_injected_fault() {
-        let lake = QuintetLake { rows_per_table: 20, error_rate: 0.1 }.generate(3);
-        let cfg = MateldaConfig { threads: 1, ..Default::default() }; // Fail is the default
-        let _guard = faultpoint::arm([("featurize".to_string(), 0)]);
-        let mut oracle = Oracle::new(&lake.errors);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::Matelda::new(cfg).detect(&lake.dirty, &mut oracle, 10)
-        }));
-        let payload = caught.expect_err("fault must abort under Fail");
-        let msg = matelda_exec::panic_message(payload.as_ref());
-        assert!(msg.contains("featurize[0]"), "unexpected panic message: {msg}");
-    }
-
-    #[test]
-    fn quality_fold_fault_degrades_to_single_fold() {
-        use crate::pipeline::FaultPolicy;
-        let lake = QuintetLake { rows_per_table: 25, error_rate: 0.1 }.generate(4);
-        let cfg = MateldaConfig { on_error: FaultPolicy::Skip, threads: 1, ..Default::default() };
-        let budget = 20;
-        let _guard = faultpoint::arm([("quality_folds".to_string(), 0)]);
-        let mut oracle = Oracle::new(&lake.errors);
-        let result = crate::Matelda::new(cfg).detect(&lake.dirty, &mut oracle, budget);
-        assert_eq!(result.quarantine.fold_fallbacks, vec![0]);
-        assert!(result.quarantine.tables.is_empty());
-        assert!(result.labels_used <= budget, "budget overspent: {}", result.labels_used);
-        assert!(result.n_quality_folds >= 1);
-    }
-
-    #[test]
-    fn classify_fault_falls_back_to_propagated_labels() {
-        use crate::pipeline::FaultPolicy;
-        let lake = QuintetLake { rows_per_table: 25, error_rate: 0.1 }.generate(6);
-        let cfg = MateldaConfig { on_error: FaultPolicy::Skip, threads: 2, ..Default::default() };
-        let _guard = faultpoint::arm([("classify".to_string(), 0)]);
-        let mut oracle = Oracle::new(&lake.errors);
-        let result = crate::Matelda::new(cfg).detect(&lake.dirty, &mut oracle, 30);
-        assert_eq!(result.quarantine.columns.len(), 1);
-        assert_eq!(result.report.faults.len(), 1);
-        assert_eq!(result.report.faults[0].stage, "classify");
-        assert_eq!(result.predicted.n_cells(), lake.dirty.n_cells());
     }
 }

@@ -10,8 +10,9 @@ use std::time::Duration;
 
 use crate::domain_fold::DomainFolding;
 use crate::engine::{
-    ClassifyStage, DomainFoldStage, DomainFolds, EmbedStage, FeaturizeStage, FeaturizedLake,
-    LabelStage, PropagatedLabels, QualityFoldStage, QualityFolds, Stage, StageContext,
+    phase1_budget, ClassifyStage, DomainFoldStage, DomainFolds, EmbedStage, FeaturizeStage,
+    FeaturizedLake, LabelStage, PropagatedLabels, QualityFoldStage, QualityFolds, Stage,
+    StageContext, TableSource,
 };
 use crate::snapshot::{decode_snapshot, encode_snapshot, ArtifactCodec, CtxState};
 use matelda_ckpt::{CheckpointStore, CkptError, Manifest, Vfs};
@@ -20,6 +21,7 @@ use matelda_embed::encoder::EncoderConfig;
 use matelda_exec::{faultpoint, Executor, RunReport};
 use matelda_ml::ClassifierKind;
 use matelda_obs::{Obs, Val};
+use matelda_table::chunked::ChunkedError;
 use matelda_table::fingerprint::Fnv1a;
 use matelda_table::oracle::Labeler;
 use matelda_table::{lake_fingerprint, CellMask, Lake};
@@ -472,54 +474,28 @@ impl Matelda {
             .expect("detection without a checkpoint store is infallible")
     }
 
-    /// [`Matelda::detect`], but also returning the run's intermediate
-    /// artifacts so callers can *explain* the predictions: the feature
-    /// vectors, the fold structure and the propagated labels that the
-    /// failure-analysis report ([`crate::report`]) attributes
-    /// misclassified cells to. Runs the same six stages with the same
-    /// seeds — the [`DetectionResult`] is bit-identical to
-    /// [`Matelda::detect`] on the same inputs (pinned by a digest test).
-    /// No checkpointing: the artifacts live in memory only, so this path
-    /// is incompatible with resume.
+    /// [`Matelda::detect_durable`], but also returning the run's
+    /// intermediate artifacts so callers can *explain* the predictions:
+    /// the feature vectors, the fold structure and the propagated labels
+    /// that the failure-analysis report ([`crate::report`]) attributes
+    /// misclassified cells to. Every stage snapshot carries its artifact,
+    /// so a run resumed from checkpoints returns the same artifacts as an
+    /// uninterrupted one — and the [`DetectionResult`] is bit-identical
+    /// to [`Matelda::detect`] on the same inputs (pinned by a digest
+    /// test).
     pub fn detect_explained(
         &self,
         lake: &Lake,
         labeler: &mut dyn Labeler,
         budget: usize,
-    ) -> (DetectionResult, RunArtifacts) {
-        let cfg = &self.config;
-        let mut ctx = match &self.executor {
-            Some(exec) => StageContext::with_executor(lake, cfg, self.obs.clone(), exec.clone()),
-            None => StageContext::with_obs(lake, cfg, self.obs.clone()),
-        };
-        let mut run_span = self.obs.span_scope("run", "detect");
-        run_span.arg("budget", budget as f64);
-        run_span.arg("threads", ctx.executor.threads() as f64);
-
-        let embedded = EmbedStage::from_config(cfg).run(&mut ctx, ());
-        let featurized = FeaturizeStage::default().run(&mut ctx, ());
-        let domain = DomainFoldStage.run(&mut ctx, &embedded);
-        let adaptive = cfg.labeling == LabelingStrategy::UncertaintyRefinement
-            && cfg.training == TrainingStrategy::PerColumn
-            && budget >= 4;
-        let phase1_budget = if adaptive { budget.div_ceil(2) } else { budget };
-        let quality =
-            QualityFoldStage { budget: phase1_budget }.run(&mut ctx, (&domain, &featurized));
-        let propagated = LabelStage { labeler, budget }.run(&mut ctx, (&quality, &featurized));
-        let predictions = ClassifyStage.run(&mut ctx, (&domain, &featurized, &propagated));
-
-        ctx.quarantine.normalize();
-        run_span.finish_secs();
-        let result = DetectionResult {
-            predicted: predictions.mask,
-            labels_used: propagated.labels_used,
-            n_domain_folds: domain.folds.len(),
-            n_quality_folds: quality.n_total(),
-            report: ctx.report,
-            quarantine: ctx.quarantine,
-            durability_degraded: false,
-        };
-        (result, RunArtifacts { featurized, domain, quality, propagated })
+        opts: &Durability,
+    ) -> Result<(DetectionResult, RunArtifacts), CkptError> {
+        self.run_stages(lake, TableSource::Resident, opts, labeler, budget, "detect").map_err(|e| {
+            match e {
+                RunError::Ckpt(e) => e,
+                RunError::Storage(e) => unreachable!("a resident lake does no storage I/O: {e}"),
+            }
+        })
     }
 
     /// [`Matelda::detect`] with stage-level checkpointing and crash-safe
@@ -551,21 +527,24 @@ impl Matelda {
         budget: usize,
         opts: &Durability,
     ) -> Result<DetectionResult, CkptError> {
-        let cfg = &self.config;
-        let mut ctx = match &self.executor {
-            Some(exec) => StageContext::with_executor(lake, cfg, self.obs.clone(), exec.clone()),
-            None => StageContext::with_obs(lake, cfg, self.obs.clone()),
-        };
-        // The run span scopes the whole pipeline: stage spans nest under
-        // it, and an error path still records it on drop.
-        let mut run_span = self.obs.span_scope("run", "detect");
-        run_span.arg("budget", budget as f64);
-        run_span.arg("threads", ctx.executor.threads() as f64);
+        self.detect_explained(lake, labeler, budget, opts).map(|(result, _)| result)
+    }
 
+    /// Opens the run sink: the checkpoint store `opts` asks for, or
+    /// nothing. Restoration stops at the first missing snapshot; from
+    /// there the interrupted run is recomputed (and re-checkpointed)
+    /// stage by stage.
+    fn open_sink(
+        &self,
+        lake: &Lake,
+        budget: usize,
+        threads: usize,
+        opts: &Durability,
+    ) -> Result<DurabilityState, CkptError> {
         let store = match &opts.checkpoint_dir {
             Some(dir) => {
                 let mut manifest = self.manifest(lake, budget);
-                manifest.threads = ctx.executor.threads() as u64;
+                manifest.threads = threads as u64;
                 match CheckpointStore::open_with(dir, manifest, opts.resume, opts.vfs.clone()) {
                     Ok(s) => Some(s.with_obs(self.obs.clone())),
                     // The directory may be unreachable before a single
@@ -588,52 +567,75 @@ impl Matelda {
             }
             None => None,
         };
-        let opened_degraded = opts.checkpoint_dir.is_some() && store.is_none();
-        // Restoration stops at the first missing snapshot; from there the
-        // interrupted run is recomputed (and re-checkpointed) stage by
-        // stage.
-        let mut dur = DurabilityState {
+        Ok(DurabilityState {
             resume_ok: opts.resume && store.is_some(),
+            degraded: opts.checkpoint_dir.is_some() && store.is_none(),
             store,
             policy: opts.policy,
-            degraded: opened_degraded,
+        })
+    }
+
+    /// The one stage driver (paper Alg. 1) behind every entry point.
+    ///
+    /// It builds the context, opens one `run` span over all six stages,
+    /// runs each stage through [`run_or_restore`] and assembles the
+    /// result. Its two seams: `source` says where embed and featurize
+    /// read cell values (the resident `lake`, or a columnar directory of
+    /// which `lake` is the skeleton), and `opts` opens the run sink (a
+    /// checkpoint store, or nothing).
+    pub(crate) fn run_stages<'a>(
+        &self,
+        lake: &'a Lake,
+        source: TableSource<'a>,
+        opts: &Durability,
+        labeler: &mut dyn Labeler,
+        budget: usize,
+        run_name: &str,
+    ) -> Result<(DetectionResult, RunArtifacts), RunError> {
+        let cfg = &self.config;
+        let mut ctx = match &self.executor {
+            Some(exec) => StageContext::with_executor(lake, cfg, self.obs.clone(), exec.clone()),
+            None => StageContext::with_obs(lake, cfg, self.obs.clone()),
         };
-        let dur = &mut dur;
+        ctx.source = source;
+        // The run span scopes the whole pipeline: stage spans nest under
+        // it, and an error path still records it on drop.
+        let mut run_span = self.obs.span_scope("run", run_name);
+        run_span.arg("budget", budget as f64);
+        run_span.arg("threads", ctx.executor.threads() as f64);
+        let sink = &mut self.open_sink(lake, budget, ctx.executor.threads(), opts)?;
 
         // The two per-table stages run first so that any table faulting
         // under FaultPolicy::Skip is quarantined *before* cross-table
         // clustering — survivors then fold, label and classify exactly
         // as they would in a lake without the quarantined tables.
-        let embedded = run_or_restore(&mut ctx, dur, "embed", |ctx| {
+        let embedded = run_or_restore(&mut ctx, sink, "embed", |ctx| {
             EmbedStage::from_config(cfg).run(ctx, ())
         })?;
-        let featurized = run_or_restore(&mut ctx, dur, "featurize", |ctx| {
+        ctx.storage_failure()?;
+        let featurized = run_or_restore(&mut ctx, sink, "featurize", |ctx| {
             FeaturizeStage::default().run(ctx, ())
         })?;
+        let featurized = ctx.reload_spills(featurized)?;
 
         // Step 1: domain-based cell folding (cluster the embedding).
-        let domain = run_or_restore(&mut ctx, dur, "domain_folds", |ctx| {
+        let domain = run_or_restore(&mut ctx, sink, "domain_folds", |ctx| {
             DomainFoldStage.run(ctx, &embedded)
         })?;
 
-        // Step 2: quality-based cell folding. The uncertainty extension
-        // reserves half the budget for refinement.
-        let adaptive = cfg.labeling == LabelingStrategy::UncertaintyRefinement
-            && cfg.training == TrainingStrategy::PerColumn
-            && budget >= 4;
-        let phase1_budget = if adaptive { budget.div_ceil(2) } else { budget };
-        let quality = run_or_restore(&mut ctx, dur, "quality_folds", |ctx| {
-            QualityFoldStage { budget: phase1_budget }.run(ctx, (&domain, &featurized))
+        // Step 2: quality-based cell folding.
+        let quality = run_or_restore(&mut ctx, sink, "quality_folds", |ctx| {
+            QualityFoldStage { budget: phase1_budget(cfg, budget) }.run(ctx, (&domain, &featurized))
         })?;
 
         // Steps 3 + 4: sampling, labeling and propagation (plus the
         // optional uncertainty refinement).
-        let propagated = run_or_restore(&mut ctx, dur, "label", |ctx| {
+        let propagated = run_or_restore(&mut ctx, sink, "label", |ctx| {
             LabelStage { labeler, budget }.run(ctx, (&quality, &featurized))
         })?;
 
         // Step 5: classification.
-        let predictions = run_or_restore(&mut ctx, dur, "classify", |ctx| {
+        let predictions = run_or_restore(&mut ctx, sink, "classify", |ctx| {
             ClassifyStage.run(ctx, (&domain, &featurized, &propagated))
         })?;
 
@@ -651,15 +653,38 @@ impl Matelda {
             );
         }
         run_span.finish_secs();
-        Ok(DetectionResult {
+        let result = DetectionResult {
             predicted: predictions.mask,
             labels_used: propagated.labels_used,
             n_domain_folds: domain.folds.len(),
             n_quality_folds: quality.n_total(),
             report: ctx.report,
             quarantine: ctx.quarantine,
-            durability_degraded: dur.degraded,
-        })
+            durability_degraded: sink.degraded,
+        };
+        Ok((result, RunArtifacts { featurized, domain, quality, propagated }))
+    }
+}
+
+/// Why [`Matelda::run_stages`] stopped: the run sink or the table
+/// source failed.
+#[derive(Debug)]
+pub(crate) enum RunError {
+    /// The checkpoint store failed or rejected a snapshot.
+    Ckpt(CkptError),
+    /// A columnar table source failed to read a table or write a spill.
+    Storage(ChunkedError),
+}
+
+impl From<CkptError> for RunError {
+    fn from(e: CkptError) -> Self {
+        RunError::Ckpt(e)
+    }
+}
+
+impl From<ChunkedError> for RunError {
+    fn from(e: ChunkedError) -> Self {
+        RunError::Storage(e)
     }
 }
 
@@ -709,8 +734,9 @@ mod tests {
         let mut o1 = Oracle::new(&lake.errors);
         let plain = Matelda::new(MateldaConfig::default()).detect(&lake.dirty, &mut o1, 40);
         let mut o2 = Oracle::new(&lake.errors);
-        let (explained, artifacts) =
-            Matelda::new(MateldaConfig::default()).detect_explained(&lake.dirty, &mut o2, 40);
+        let (explained, artifacts) = Matelda::new(MateldaConfig::default())
+            .detect_explained(&lake.dirty, &mut o2, 40, &Durability::default())
+            .expect("no checkpoint store");
         assert_eq!(explained.digest(), plain.digest());
         assert_eq!(explained.predicted, plain.predicted);
         // The artifacts cover the whole lake and are mutually consistent.
@@ -1041,36 +1067,6 @@ mod tests {
         let before = r.digest();
         r.durability_degraded = true;
         assert_eq!(r.digest(), before);
-    }
-
-    #[test]
-    fn armed_stage_timeout_degrades_like_a_fault() {
-        use matelda_exec::{faultpoint, DEADLINE_FAULT};
-        let lake = QuintetLake { rows_per_table: 25, error_rate: 0.1 }.generate(6);
-        let cfg = MateldaConfig { on_error: FaultPolicy::Skip, threads: 2, ..Default::default() };
-        let _guard = faultpoint::arm([("timeout:classify".to_string(), 0)]);
-        let mut oracle = Oracle::new(&lake.errors);
-        let r = Matelda::new(cfg).detect(&lake.dirty, &mut oracle, 30);
-        assert_eq!(r.quarantine.columns.len(), 1, "deadline fault must degrade one column");
-        assert_eq!(r.report.faults.len(), 1);
-        assert_eq!(r.report.faults[0].stage, "classify");
-        assert_eq!(r.report.faults[0].message, DEADLINE_FAULT);
-        assert_eq!(r.predicted.n_cells(), lake.dirty.n_cells());
-    }
-
-    #[test]
-    fn armed_stage_timeout_aborts_under_fail_policy() {
-        use matelda_exec::{faultpoint, DEADLINE_FAULT};
-        let lake = QuintetLake { rows_per_table: 20, error_rate: 0.1 }.generate(7);
-        let cfg = MateldaConfig { threads: 1, ..Default::default() }; // Fail is default
-        let _guard = faultpoint::arm([("timeout:embed".to_string(), 0)]);
-        let mut oracle = Oracle::new(&lake.errors);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Matelda::new(cfg).detect(&lake.dirty, &mut oracle, 10)
-        }));
-        let payload = caught.expect_err("deadline fault must abort under Fail");
-        let msg = matelda_exec::panic_message(payload.as_ref());
-        assert!(msg.contains(DEADLINE_FAULT), "unexpected panic message: {msg}");
     }
 
     #[test]

@@ -322,8 +322,9 @@ mod tests {
     fn run() -> (matelda_lakegen::GeneratedLake, crate::DetectionResult, RunArtifacts) {
         let lake = QuintetLake { rows_per_table: 60, error_rate: 0.09 }.generate(42);
         let mut oracle = Oracle::new(&lake.errors);
-        let (result, artifacts) =
-            Matelda::new(MateldaConfig::default()).detect_explained(&lake.dirty, &mut oracle, 60);
+        let (result, artifacts) = Matelda::new(MateldaConfig::default())
+            .detect_explained(&lake.dirty, &mut oracle, 60, &crate::Durability::default())
+            .expect("no checkpoint store");
         (lake, result, artifacts)
     }
 

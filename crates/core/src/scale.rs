@@ -1,16 +1,18 @@
 //! Out-of-core detection: the full pipeline over a columnar on-disk
-//! lake, one table resident at a time (DESIGN.md §14).
+//! lake, at most one table per executor thread resident (DESIGN.md §14).
 //!
-//! The driver streams each `.mtc` table through embed + featurize,
-//! spills the per-table features to disk, and then runs the fold, label
-//! and classify stages against a *skeleton* lake (shapes only, no cell
-//! values) — which is sound because every post-featurize stage reads
-//! only table shapes under the supported configurations. The result is
-//! **bit-identical** to [`Matelda::detect`] over the materialized lake:
-//! same [`DetectionResult::digest`], at any thread count and any chunk
-//! size. [`columnar_lake_fingerprint`] anchors the input side of that
-//! contract — the streamed digest equals the in-memory
-//! `lake_fingerprint`.
+//! [`Matelda::detect_out_of_core`] runs the same stage driver as
+//! [`Matelda::detect`] with a columnar *table source*: embed and
+//! featurize read each `.mtc` table inside its own work item and
+//! featurize spills the table's features to disk; the fold, label and
+//! classify stages then run against a *skeleton* lake (shapes only, no
+//! cell values) — which is sound because every post-featurize stage
+//! reads only table shapes under the supported configurations. The
+//! result is **bit-identical** to [`Matelda::detect`] over the
+//! materialized lake: same [`DetectionResult::digest`], at any thread
+//! count and any chunk size. [`columnar_lake_fingerprint`] anchors the
+//! input side of that contract — the streamed digest equals the
+//! in-memory `lake_fingerprint`.
 //!
 //! Two configuration families *do* read cell values after
 //! featurization and are rejected up front with
@@ -18,25 +20,15 @@
 //! the empty skeleton values: the `+SF` syntactic refinement and the
 //! unionability (Santos) folding strategies.
 
-use crate::domain_fold::embed_table_for;
-use crate::engine::{
-    ClassifyStage, DomainFoldStage, EmbeddedLake, FeaturizedLake, LabelStage, QualityFoldStage,
-    Stage, StageContext,
-};
-use crate::pipeline::{DetectionResult, LabelingStrategy, Matelda, TrainingStrategy};
+use crate::engine::TableSource;
+use crate::pipeline::{DetectionResult, Durability, Matelda, RunError};
 use crate::DomainFolding;
-use matelda_detect::{featurize_table, load_features, spill_features, spill_path, CellFeatures};
-use matelda_embed::encoder::HashedEncoder;
-use matelda_exec::{faultpoint, panic_message, ItemFault, StageReport};
 use matelda_table::chunked::{
     columnar_lake_fingerprint, columnar_paths_sorted, skeleton_lake, ChunkSource, ChunkedError,
-    ColumnarReader, DEFAULT_CHUNK_LEN,
+    DEFAULT_CHUNK_LEN,
 };
 use matelda_table::oracle::Labeler;
-use matelda_text::SpellChecker;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// Options for one [`Matelda::detect_out_of_core`] run.
 #[derive(Debug, Clone)]
@@ -97,7 +89,7 @@ pub struct OutOfCoreRun {
     /// The streamed lake fingerprint; equals `lake_fingerprint` of the
     /// materialized lake.
     pub fingerprint: u64,
-    /// Feature spill files written (one per table).
+    /// Feature spill files written (one per table not quarantined).
     pub spill_count: usize,
     /// Total cells streamed through featurization.
     pub cells: usize,
@@ -107,18 +99,22 @@ pub struct OutOfCoreRun {
 
 impl Matelda {
     /// Runs the pipeline over the columnar lake directory `dir` without
-    /// ever materializing the lake: tables stream through embed +
-    /// featurize one at a time (features spilled to
-    /// [`OutOfCoreOpts::spill_dir`]), and the fold/label/classify stages
+    /// ever materializing the lake: embed and featurize read each table
+    /// inside its own executor work item (so at most `threads` tables
+    /// are resident), featurize spills each table's features to
+    /// [`OutOfCoreOpts::spill_dir`], and the fold/label/classify stages
     /// run on a shapes-only skeleton. All I/O goes through `src`, so
     /// passing the ckpt [`crate::Vfs`] puts the whole path under the
-    /// storage fault matrix.
+    /// storage fault matrix; a read or spill failure is returned as
+    /// [`OutOfCoreError::Storage`] (the lowest failing table index wins,
+    /// at any thread count).
     ///
-    /// Fault isolation matches the in-memory engine: a table whose
-    /// embed or featurize panics is quarantined under
-    /// [`crate::FaultPolicy::Skip`] (or aborts the run under `Fail`),
-    /// with the same quarantine record — and therefore the same digest
-    /// — as [`Matelda::detect`] hitting the same faults.
+    /// Fault isolation, the stage watchdog and the stage spans are the
+    /// in-memory engine's own: a table whose embed or featurize panics
+    /// (or times out) is quarantined under [`crate::FaultPolicy::Skip`]
+    /// (or aborts the run under `Fail`), with the same quarantine record
+    /// and fault log — and therefore the same digest — as
+    /// [`Matelda::detect`] hitting the same faults.
     pub fn detect_out_of_core(
         &self,
         src: &dyn ChunkSource,
@@ -141,7 +137,6 @@ impl Matelda {
         }
 
         let paths = columnar_paths_sorted(src, dir).map_err(ChunkedError::Io)?;
-        let n_tables = paths.len();
         let mut lake_bytes = 0u64;
         for p in &paths {
             lake_bytes += src.file_len(p).map_err(ChunkedError::Io)?;
@@ -149,132 +144,22 @@ impl Matelda {
         let skeleton = skeleton_lake(src, dir)?;
         let fingerprint = columnar_lake_fingerprint(src, dir, opts.chunk_len)?;
 
-        // ---- Streaming phase: embed + featurize one table at a time.
-        //
-        // Sequential by design — per-table work derives only from
-        // `(config, seed, ti, table)`, so the outputs equal the parallel
-        // engine's at any thread count; parallelism pays off in the fold
-        // and classify stages, which run on the executor below.
-        let per_table_embed =
-            matches!(cfg.domain_folding, DomainFolding::Hdbscan | DomainFolding::RowSampling(_));
-        let encoder = HashedEncoder::new(cfg.encoder.clone());
-        let spell = SpellChecker::english();
-        let placeholder = |t: &matelda_table::Table| {
-            CellFeatures::zeros(t.n_cols(), 0, matelda_detect::FEATURE_DIM)
+        let source = TableSource::Columnar {
+            src,
+            paths: &paths,
+            chunk_len: opts.chunk_len,
+            spill_dir: &opts.spill_dir,
         };
-        let mut vecs: Vec<Vec<f32>> =
-            Vec::with_capacity(if per_table_embed { n_tables } else { 0 });
-        let mut faults: Vec<ItemFault> = Vec::new();
-        let mut quarantined: Vec<usize> = Vec::new();
-        let mut cells = 0usize;
-        let mut spill_count = 0usize;
-        let mut embed_secs = 0.0f64;
-        let mut featurize_secs = 0.0f64;
-        for (ti, path) in paths.iter().enumerate() {
-            let table = ColumnarReader::open(src, path)?.read_table(opts.chunk_len)?;
-            cells += table.n_cells();
-            let mut table_quarantined = false;
-            if per_table_embed {
-                let t0 = Instant::now();
-                match catch_unwind(AssertUnwindSafe(|| {
-                    faultpoint::hit("embed", ti);
-                    embed_table_for(cfg.domain_folding, &encoder, cfg.seed, ti, &table)
-                })) {
-                    Ok(v) => vecs.push(v),
-                    Err(payload) => {
-                        vecs.push(Vec::new());
-                        faults.push(ItemFault::new("embed", ti, panic_message(payload.as_ref())));
-                        table_quarantined = true;
-                    }
-                }
-                embed_secs += t0.elapsed().as_secs_f64();
-            }
-            let t0 = Instant::now();
-            let feats = if table_quarantined {
-                placeholder(&table)
-            } else {
-                match catch_unwind(AssertUnwindSafe(|| {
-                    faultpoint::hit("featurize", ti);
-                    featurize_table(&table, &spell, &cfg.features)
-                })) {
-                    Ok(f) => f,
-                    Err(payload) => {
-                        faults.push(ItemFault::new(
-                            "featurize",
-                            ti,
-                            panic_message(payload.as_ref()),
-                        ));
-                        table_quarantined = true;
-                        placeholder(&table)
-                    }
-                }
-            };
-            featurize_secs += t0.elapsed().as_secs_f64();
-            if table_quarantined {
-                quarantined.push(ti);
-            }
-            spill_features(src, &spill_path(&opts.spill_dir, ti), &feats)?;
-            spill_count += 1;
-            // `table` and `feats` drop here: only one table is ever
-            // resident during the streaming phase.
-        }
-        let embedded =
-            if per_table_embed { EmbeddedLake::Vectors(vecs) } else { EmbeddedLake::Trivial };
-
-        // ---- Staged phase on the skeleton: identical stage sequence,
-        // seeds and executor semantics as `detect_explained`.
-        let mut ctx = match &self.executor {
-            Some(exec) => {
-                StageContext::with_executor(&skeleton, cfg, self.obs.clone(), exec.clone())
-            }
-            None => StageContext::with_obs(&skeleton, cfg, self.obs.clone()),
-        };
-        let mut run_span = self.obs.span_scope("run", "detect_out_of_core");
-        run_span.arg("budget", budget as f64);
-        run_span.arg("threads", ctx.executor.threads() as f64);
-        for ti in &quarantined {
-            ctx.quarantine_table(*ti);
-        }
-        ctx.note_faults(faults);
-        // Synthetic reports for the streamed stages so the run report
-        // keeps its six-stage shape.
-        let mut embed_report = StageReport::new("embed");
-        embed_report.items = n_tables as u64;
-        embed_report.wall_secs = embed_secs;
-        ctx.report.stages.push(embed_report);
-        let mut feat_report = StageReport::new("featurize");
-        feat_report.items = cells as u64;
-        feat_report.wall_secs = featurize_secs;
-        ctx.report.stages.push(feat_report);
-
-        let mut features = Vec::with_capacity(n_tables);
-        for ti in 0..n_tables {
-            features.push(load_features(src, &spill_path(&opts.spill_dir, ti))?);
-        }
-        let featurized = FeaturizedLake { features };
-
-        let domain = DomainFoldStage.run(&mut ctx, &embedded);
-        let adaptive = cfg.labeling == LabelingStrategy::UncertaintyRefinement
-            && cfg.training == TrainingStrategy::PerColumn
-            && budget >= 4;
-        let phase1_budget = if adaptive { budget.div_ceil(2) } else { budget };
-        let quality =
-            QualityFoldStage { budget: phase1_budget }.run(&mut ctx, (&domain, &featurized));
-        let propagated = LabelStage { labeler, budget }.run(&mut ctx, (&quality, &featurized));
-        let predictions = ClassifyStage.run(&mut ctx, (&domain, &featurized, &propagated));
-
-        ctx.quarantine.normalize();
-        run_span.finish_secs();
-        let result = DetectionResult {
-            predicted: predictions.mask,
-            labels_used: propagated.labels_used,
-            n_domain_folds: domain.folds.len(),
-            n_quality_folds: quality.n_total(),
-            report: ctx.report,
-            quarantine: ctx.quarantine,
-            durability_degraded: false,
-        };
-        Ok(OutOfCoreRun { result, fingerprint, spill_count, cells, lake_bytes })
+        let no_sink = Durability::default();
+        let (result, _) = self
+            .run_stages(&skeleton, source, &no_sink, labeler, budget, "detect_out_of_core")
+            .map_err(|e| match e {
+                RunError::Storage(e) => OutOfCoreError::Storage(e),
+                RunError::Ckpt(e) => unreachable!("an out-of-core run has no checkpoint sink: {e}"),
+            })?;
+        // Every table that was not quarantined was featurized and spilled.
+        let spill_count = skeleton.n_tables() - result.quarantine.tables.len();
+        Ok(OutOfCoreRun { result, fingerprint, spill_count, cells: skeleton.n_cells(), lake_bytes })
     }
 }
 

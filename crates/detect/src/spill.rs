@@ -1,6 +1,6 @@
 //! Spilling featurized tables to disk and streaming them back.
 //!
-//! The out-of-core driver featurizes one table at a time; holding every
+//! The out-of-core driver featurizes one table per work item; holding every
 //! table's [`CellFeatures`] resident until the fold stages need them
 //! would rebuild exactly the allocation the blocked store avoids. This
 //! module writes a table's features to one `.mtf` file through the

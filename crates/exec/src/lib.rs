@@ -288,43 +288,6 @@ impl Executor {
         self.try_map_n_within(stage, n, None, f)
     }
 
-    /// [`Executor::try_map_n`] in consecutive windows of at most
-    /// `window` items: window `w` maps indices `[w*window, …)` with the
-    /// full pool, and the next window starts only when it finishes.
-    /// Results concatenate in index order, so the output is identical
-    /// to one `try_map_n(stage, n, f)` call at every thread count — the
-    /// point is *pacing*, not semantics: a streaming stage can bound
-    /// how many items' worth of intermediate state is live at once
-    /// (out-of-core featurization sizes windows to its memory budget).
-    pub fn try_map_windowed<R, F>(
-        &self,
-        stage: &str,
-        n: usize,
-        window: usize,
-        f: F,
-    ) -> Vec<Result<R, ItemFault>>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let window = window.max(1);
-        let mut out = Vec::with_capacity(n);
-        let mut base = 0;
-        while base < n {
-            let len = window.min(n - base);
-            let mut part = self.try_map_n(stage, len, |i| f(base + i));
-            // Fault records carry stage-global indices, not window-local.
-            for r in &mut part {
-                if let Err(fault) = r {
-                    fault.index += base;
-                }
-            }
-            out.extend(part);
-            base += len;
-        }
-        out
-    }
-
     /// [`Executor::try_map_n`] under a watchdog [`Deadline`]: an item
     /// claimed after the deadline has passed (or whose
     /// `timeout:<stage>` faultpoint is armed — the deterministic test
@@ -505,20 +468,6 @@ impl RunReport {
     /// Looks up a stage by name.
     pub fn stage(&self, name: &str) -> Option<&StageReport> {
         self.stages.iter().find(|s| s.name == name)
-    }
-
-    /// Times `f`, records it as stage `name`, and returns its output.
-    /// The closure receives a handle to annotate items/metrics. Timing
-    /// goes through the obs [`Stopwatch`] — the workspace's single
-    /// monotonic-timing primitive — rather than an ad-hoc `Instant`
-    /// pair.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce(&mut StageReport) -> R) -> R {
-        let mut stage = StageReport::new(name);
-        let watch = Stopwatch::start();
-        let out = f(&mut stage);
-        stage.wall_secs = watch.elapsed_secs();
-        self.stages.push(stage);
-        out
     }
 
     /// Renders as an aligned text table.
@@ -855,13 +804,11 @@ mod tests {
     #[test]
     fn report_records_and_renders() {
         let mut report = RunReport::new(2);
-        let out = report.time("embed", |s| {
-            s.items = 5;
-            s.metrics.push(("dims".into(), 128.0));
-            "done"
-        });
-        assert_eq!(out, "done");
-        report.time("train", |s| s.items = 33);
+        let mut embed = StageReport::new("embed");
+        embed.items = 5;
+        embed.metrics.push(("dims".into(), 128.0));
+        report.stages.push(embed);
+        report.stages.push(StageReport { items: 33, ..StageReport::new("train") });
         assert_eq!(report.stages.len(), 2);
         assert!(report.stage("embed").expect("exists").wall_secs >= 0.0);
         assert_eq!(report.stage("embed").expect("exists").metric("dims"), Some(128.0));
@@ -942,36 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_map_concatenates_identically_to_one_call() {
-        let _armed = faultpoint::arm(vec![("w".to_string(), 4), ("w".to_string(), 9)]);
-        for threads in [1, 2, 4] {
-            let exec = Executor::new(threads);
-            let whole = exec.try_map_n("w", 13, |i| {
-                faultpoint::hit("w", i);
-                i * i
-            });
-            for window in [1, 2, 3, 5, 13, 100] {
-                let windowed = exec.try_map_windowed("w", 13, window, |i| {
-                    faultpoint::hit("w", i);
-                    i * i
-                });
-                assert_eq!(windowed.len(), whole.len(), "threads={threads} window={window}");
-                for (i, (a, b)) in windowed.iter().zip(&whole).enumerate() {
-                    match (a, b) {
-                        (Ok(x), Ok(y)) => assert_eq!(x, y, "item {i} window {window}"),
-                        (Err(fa), Err(fb)) => {
-                            // Faults keep their global index and stage.
-                            assert_eq!(fa.stage, fb.stage, "item {i}");
-                            assert_eq!(fa.index, fb.index, "item {i}");
-                        }
-                        other => panic!("item {i} window {window}: {other:?}"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn armed_timeout_point_faults_without_running_the_item() {
         let _armed = faultpoint::arm(vec![("timeout:slow".to_string(), 2)]);
         for threads in [1, 2, 4] {
@@ -1019,7 +936,7 @@ mod tests {
     #[test]
     fn report_renders_and_serializes_faults() {
         let mut report = RunReport::new(1);
-        report.time("embed", |s| s.items = 3);
+        report.stages.push(StageReport { items: 3, ..StageReport::new("embed") });
         report.faults.push(ItemFault::new("embed", 2, "injected fault at embed[2]"));
         assert!(report.render().contains("fault: embed[2]"));
         let json = report.to_json();

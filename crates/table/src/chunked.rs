@@ -46,7 +46,9 @@ pub const DEFAULT_CHUNK_LEN: usize = 64 * 1024;
 /// through. `matelda-table` cannot depend on `matelda-ckpt` (the
 /// dependency points the other way), so the fault-injectable VFS plugs
 /// in from above via this trait; [`StdFs`] is the plain implementation.
-pub trait ChunkSource {
+/// `Sync` because the out-of-core driver reads tables from executor
+/// workers concurrently.
+pub trait ChunkSource: Sync {
     /// Length of the file in bytes.
     fn file_len(&self, path: &Path) -> io::Result<u64>;
     /// Reads up to `len` bytes at `offset`; short reads only at EOF.

@@ -123,7 +123,7 @@ pub fn parse_records(input: &str) -> Result<Vec<Vec<String>>, CsvError> {
 /// or between the two `"` of an escaped quote), drain completed records
 /// as they close, and call [`RecordSplitter::finish`] at end of input.
 /// For any split of the input, `feed`+`finish` yields byte-for-byte the
-/// same records, flags and errors as [`split_records`] over the whole
+/// same records, flags and errors as `split_records` over the whole
 /// input — the out-of-core CSV reader leans on that equivalence.
 #[derive(Debug, Default)]
 pub struct RecordSplitter {
@@ -187,7 +187,7 @@ impl RecordSplitter {
         std::mem::take(&mut self.done)
     }
 
-    /// Ends the input, applying the same EOF rules as [`split_records`]:
+    /// Ends the input, applying the same EOF rules as `split_records`:
     /// a still-open quote errors (strict) or is closed and flagged
     /// (repair); a trailing unterminated field/record is flushed; input
     /// that never produced a record is [`CsvError::Empty`]. Returns the

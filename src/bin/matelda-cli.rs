@@ -49,9 +49,8 @@
 //!     (failure_report.md + failure_report.json) into <dir>: exemplar
 //!     misclassified cells with their values, ground-truth error types
 //!     (inferred from the dirty/clean diff), fired detector features,
-//!     quality folds and propagated labels. Incompatible with
-//!     --checkpoint-dir/--resume (the explained run keeps its artifacts
-//!     in memory, not in checkpoints).
+//!     quality folds and propagated labels. With --checkpoint-dir and
+//!     --resume the report is the same as for an uninterrupted run.
 //!
 //! matelda-cli profile <dir> [--read strict|repair|skip]
 //!     Table/column statistics and approximate FDs of a lake directory.
@@ -63,7 +62,7 @@
 
 use matelda::core::{
     analyze_failures, CkptError, DomainFolding, Durability, FaultPolicy, Matelda, MateldaConfig,
-    Obs, Oracle, RunArtifacts, TrainingStrategy,
+    Obs, Oracle, TrainingStrategy,
 };
 use matelda::fd::mine_approximate;
 use matelda::lakegen::{DGovLake, GitTablesLake, QuintetLake, ReinLake, WdcLake};
@@ -167,7 +166,8 @@ failure analysis (detect):
                           inferred ground-truth error type, the detector
                           features that fired, the cell's quality fold,
                           its labeled anchor and the propagated label.
-                          Incompatible with --checkpoint-dir/--resume.
+                          Works with --checkpoint-dir/--resume: a resumed
+                          run writes the same report.
 
 exit codes:
   0  success
@@ -419,13 +419,6 @@ fn cmd_detect(args: &[String]) -> CliResult {
         Some(d) => Some(PathBuf::from(d)),
         None => None,
     };
-    if failure_report_dir.is_some() && (checkpoint_dir.is_some() || resume) {
-        return Err(CliError::Usage(
-            "--failure-report is incompatible with --checkpoint-dir/--resume: the explained \
-             run keeps its artifacts in memory, not in checkpoints"
-                .into(),
-        ));
-    }
 
     let (dirty, dirty_ingest) = load_lake(&dirty_dir, &read)?;
     let (clean, _clean_ingest) = load_lake(&clean_dir, &read)?;
@@ -461,21 +454,11 @@ fn cmd_detect(args: &[String]) -> CliResult {
     // panic trace with exit 101.
     let obs = if trace_dir.is_some() || want_metrics { Obs::enabled() } else { Obs::disabled() };
     let pipeline = Matelda::new(config).with_obs(obs.clone());
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<(matelda::core::DetectionResult, Option<RunArtifacts>), CkptError> {
-            if failure_report_dir.is_some() {
-                // The explained run keeps the stage artifacts for the
-                // failure report; it is bit-identical to detect_durable
-                // without a checkpoint store (guarded above).
-                let (result, artifacts) = pipeline.detect_explained(&dirty, &mut oracle, budget);
-                Ok((result, Some(artifacts)))
-            } else {
-                pipeline
-                    .detect_durable(&dirty, &mut oracle, budget, &durability)
-                    .map(|result| (result, None))
-            }
-        },
-    ))
+    // The explained run keeps the stage artifacts for the failure report;
+    // a resumed run restores them from its snapshots.
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        pipeline.detect_explained(&dirty, &mut oracle, budget, &durability)
+    }))
     .map_err(|payload| {
         let msg = payload
             .downcast_ref::<String>()
@@ -547,11 +530,10 @@ fn cmd_detect(args: &[String]) -> CliResult {
         100.0 * conf.f1()
     );
     if let Some(dir) = &failure_report_dir {
-        let artifacts = artifacts.as_ref().expect("explained run kept its artifacts");
         // Ground-truth error types are not on disk — recover them from
         // the (dirty, clean) diff via the mutation signatures.
         let typed = matelda::errorgen::infer_typed_masks(&dirty, &clean);
-        let report = analyze_failures(&dirty, &result.predicted, &truth, &typed, artifacts, 10);
+        let report = analyze_failures(&dirty, &result.predicted, &truth, &typed, &artifacts, 10);
         std::fs::create_dir_all(dir)
             .map_err(|e| CliError::Runtime(format!("creating {}: {e}", dir.display())))?;
         for (name, contents) in [

@@ -358,23 +358,6 @@ fn failure_report_names_misclassified_cells_with_evidence() {
     let report_dir = dir.join("failures");
     let report_dir_s = report_dir.to_string_lossy().to_string();
 
-    // Incompatible with durability: the explained run has no checkpoints.
-    let out = cli()
-        .args([
-            "detect",
-            &dirty,
-            "--clean",
-            &clean,
-            "--failure-report",
-            &report_dir_s,
-            "--checkpoint-dir",
-            &dir.join("ckpt").to_string_lossy(),
-        ])
-        .output()
-        .expect("incompatible flags");
-    assert_eq!(out.status.code(), Some(2), "must reject --failure-report with --checkpoint-dir");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--failure-report"));
-
     let out = cli()
         .args(["detect", &dirty, "--clean", &clean, "--failure-report", &report_dir_s])
         .output()
@@ -405,6 +388,32 @@ fn failure_report_names_misclassified_cells_with_evidence() {
     assert!(json.starts_with("{\"report\":\"matelda-failures\""), "{json}");
     assert!(json.contains("\"truth_type\""), "{json}");
     assert!(json.contains("\"fired\""), "{json}");
+
+    // A checkpointed run writes the same report, and so does a run
+    // resumed off its completed checkpoint directory: every snapshot
+    // carries its stage's artifacts.
+    let ckpt = dir.join("ckpt").to_string_lossy().to_string();
+    for (tag, resume) in [("durable", false), ("resumed", true)] {
+        let out_dir = dir.join(tag);
+        let out_dir_s = out_dir.to_string_lossy().to_string();
+        let mut args = vec![
+            "detect",
+            &dirty,
+            "--clean",
+            &clean,
+            "--failure-report",
+            &out_dir_s,
+            "--checkpoint-dir",
+            &ckpt,
+        ];
+        if resume {
+            args.push("--resume");
+        }
+        let out = cli().args(&args).output().expect("detect with checkpoints");
+        assert!(out.status.success(), "{tag}: {}", String::from_utf8_lossy(&out.stderr));
+        let bytes = std::fs::read(out_dir.join("failure_report.json")).expect("json");
+        assert!(bytes == json.as_bytes(), "{tag} failure report differs from the plain run's");
+    }
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
