@@ -979,22 +979,22 @@ fn train_per_column(
         .flat_map(|(t, table)| (0..table.n_cols()).map(move |c| (t, c)))
         .collect();
     stage.metrics.push(("models".into(), columns.len() as f64));
-    let flagged: Vec<Result<(Vec<usize>, bool), ItemFault>> =
+    let flagged: Vec<Result<(Vec<usize>, &str), ItemFault>> =
         ctx.executor.try_map_within("classify", &columns, ctx.deadline, |i, &(t, c)| {
             faultpoint::hit("classify", i);
             let model = fit_column(ctx, featurized, labels, t, c);
             let rows = (0..lake[t].n_rows())
                 .filter(|&r| model.predict(featurized.features[t].get(r, c)))
                 .collect();
-            (rows, model.used_binned())
+            (rows, fit_counter(&model))
         });
     let mut predicted = CellMask::empty(lake);
     let mut faults = Vec::new();
     let mut fallback_cols = Vec::new();
     for (&(t, c), result) in columns.iter().zip(flagged) {
         match result {
-            Ok((rows, used_binned)) => {
-                record_fit_kernel(ctx, used_binned);
+            Ok((rows, counter)) => {
+                ctx.obs.counter_add(counter, 1);
                 for r in rows {
                     predicted.set(CellId::new(t, r, c), true);
                 }
@@ -1009,16 +1009,20 @@ fn train_per_column(
     (predicted, faults, fallback_cols)
 }
 
-/// Records which GBM training kernel one classify work item used:
-/// `classify.binned_fits` counts histogram-kernel fits,
-/// `classify.exact_fits` counts exact-path fallbacks (high-cardinality
+/// The obs counter one classify work item's model lands in:
+/// `classify.constant_fits` counts models that trained no tree because
+/// their labels had one class, `classify.binned_fits` histogram-kernel
+/// fits, and `classify.exact_fits` exact-path fallbacks (high-cardinality
 /// or NaN features — see [`matelda_ml::BinnedDataset::build`]). The
 /// split makes a silent wholesale fallback to the slow path visible in
-/// the metrics dump. No-op when tracing is off.
-fn record_fit_kernel(ctx: &StageContext<'_>, used_binned: bool) {
-    if ctx.obs.is_enabled() {
-        let key = if used_binned { "classify.binned_fits" } else { "classify.exact_fits" };
-        ctx.obs.counter_add(key, 1);
+/// the metrics dump.
+fn fit_counter(model: &FittedClassifier) -> &'static str {
+    if model.is_constant() {
+        "classify.constant_fits"
+    } else if model.used_binned() {
+        "classify.binned_fits"
+    } else {
+        "classify.exact_fits"
     }
 }
 
@@ -1054,7 +1058,7 @@ fn train_per_fold(
 ) -> (CellMask, Vec<ItemFault>, Vec<(usize, usize)>) {
     let lake = ctx.lake;
     stage.metrics.push(("models".into(), folds.len() as f64));
-    let flagged: Vec<Result<(Vec<CellId>, bool), ItemFault>> =
+    let flagged: Vec<Result<(Vec<CellId>, &str), ItemFault>> =
         ctx.executor.try_map_n_within("classify", folds.len(), ctx.deadline, |fi| {
             faultpoint::hit("classify", fi);
             let fold = &folds[fi];
@@ -1078,15 +1082,15 @@ fn train_per_fold(
                     }
                 }
             }
-            (ids, model.used_binned())
+            (ids, fit_counter(&model))
         });
     let mut predicted = CellMask::empty(lake);
     let mut faults = Vec::new();
     let mut fallback_cols = Vec::new();
     for (fi, result) in flagged.into_iter().enumerate() {
         match result {
-            Ok((ids, used_binned)) => {
-                record_fit_kernel(ctx, used_binned);
+            Ok((ids, counter)) => {
+                ctx.obs.counter_add(counter, 1);
                 for id in ids {
                     predicted.set(id, true);
                 }

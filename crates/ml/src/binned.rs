@@ -35,6 +35,8 @@ pub struct BinnedDataset {
     /// Per-feature ascending distinct values; `bin_values[f][b]` is the raw
     /// value every sample with code `b` holds in feature `f`.
     bin_values: Vec<Vec<f32>>,
+    /// Per-feature bin counts over all samples, `n_features × max_bins`.
+    root_hist: Vec<u32>,
 }
 
 impl BinnedDataset {
@@ -77,7 +79,13 @@ impl BinnedDataset {
             }
             bin_values.push(distinct);
         }
-        Some(Self { n_samples, n_features, max_bins, codes, bin_values })
+        let mut root_hist = vec![0u32; n_features * max_bins];
+        for f in 0..n_features {
+            for &b in &codes[f * n_samples..(f + 1) * n_samples] {
+                root_hist[f * max_bins + b as usize] += 1;
+            }
+        }
+        Some(Self { n_samples, n_features, max_bins, codes, bin_values, root_hist })
     }
 
     /// Number of samples.
@@ -105,6 +113,13 @@ impl BinnedDataset {
         self.bin_values[f].len()
     }
 
+    /// Per-feature bin counts over every sample, laid out
+    /// `[f * max_bins + b]`: the root node's histogram, the same for every
+    /// tree fit on this dataset.
+    pub fn root_histogram(&self) -> &[u32] {
+        &self.root_hist
+    }
+
     /// The raw feature value represented by bin `b` of feature `f`. Used
     /// as the split threshold: `value <= threshold` ⟺ `code <= b`.
     pub fn threshold(&self, f: usize, b: u8) -> f32 {
@@ -129,6 +144,8 @@ mod tests {
         // Feature 1 distinct: [0, 1] -> codes [0, 1, 0, 1].
         assert_eq!(d.codes_of(1), &[0, 1, 0, 1]);
         assert_eq!(d.max_bins(), 3);
+        // Bin counts per feature, padded to `max_bins`.
+        assert_eq!(d.root_histogram(), &[1, 1, 2, 2, 2, 0]);
     }
 
     #[test]

@@ -72,6 +72,15 @@ impl FittedClassifier {
             FittedClassifier::Forest(_) => false,
         }
     }
+
+    /// Whether the model trained no tree and predicts its prior for
+    /// every sample, as it does when the labels have one class (or none).
+    pub fn is_constant(&self) -> bool {
+        match self {
+            FittedClassifier::Gbm(m) => m.n_stages() == 0,
+            FittedClassifier::Forest(m) => m.n_trees() == 0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -88,6 +97,19 @@ mod tests {
             let m = FittedClassifier::fit(&kind, &x, &y);
             assert!(!m.predict(&[2.0]), "{kind:?}");
             assert!(m.predict(&[28.0]), "{kind:?}");
+            assert!(!m.is_constant(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn one_class_labels_give_a_constant_model_of_either_kind() {
+        let x: Vec<Vec<f32>> = (0..30).map(|i| vec![i as f32]).collect();
+        for kind in
+            [ClassifierKind::default(), ClassifierKind::RandomForest(RandomForestConfig::default())]
+        {
+            let m = FittedClassifier::fit(&kind, &x, &[true; 30]);
+            assert!(m.is_constant(), "{kind:?}");
+            assert!(!m.used_binned(), "{kind:?}");
         }
     }
 }

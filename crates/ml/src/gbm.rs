@@ -281,4 +281,84 @@ mod tests {
             &GradientBoostingConfig::default(),
         );
     }
+
+    /// `fit_with`'s boosting loop with every stage grown by the exact
+    /// reference [`RegressionTree::fit`] instead of the binned kernel.
+    fn fit_exact_reference(
+        x: &[Vec<f32>],
+        y: &[bool],
+        config: &GradientBoostingConfig,
+    ) -> GradientBoostingClassifier {
+        let n = x.len();
+        let pos = y.iter().filter(|b| **b).count();
+        let p0 = ((pos as f64 + 0.5) / (n as f64 + 1.0)).clamp(1e-6, 1.0 - 1e-6);
+        let base_score = (p0 / (1.0 - p0)).ln();
+        let mut model = GradientBoostingClassifier {
+            base_score,
+            trees: Vec::new(),
+            learning_rate: config.learning_rate,
+            used_binned: false,
+        };
+        let tree_config =
+            TreeConfig { max_depth: config.max_depth, min_samples_leaf: config.min_samples_leaf };
+        let mut margins = vec![base_score; n];
+        for _ in 0..config.n_trees {
+            let p: Vec<f64> = margins.iter().map(|&m| sigmoid(m)).collect();
+            let gradients: Vec<f64> =
+                p.iter().zip(y).map(|(&p, &yi)| f64::from(u8::from(yi)) - p).collect();
+            let hessians: Vec<f64> = p.iter().map(|&p| (p * (1.0 - p)).max(1e-9)).collect();
+            let tree = RegressionTree::fit(x, &gradients, &hessians, &tree_config);
+            if tree.n_nodes() == 1 && model.trees.len() > 1 && tree.predict(&x[0]).abs() < 1e-9 {
+                break;
+            }
+            for (m, xi) in margins.iter_mut().zip(x) {
+                *m += config.learning_rate * tree.predict(xi);
+            }
+            model.trees.push(tree);
+        }
+        model
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        // Pins the binned kernel across all boosting stages — where the
+        // dataset's root histogram is reused by every tree — to the exact
+        // reference, on {0,1} flag rows like the pipeline's features.
+        #[test]
+        fn binned_boosting_equals_exact_reference_on_binary_flags(
+            prototypes in proptest::collection::vec(
+                proptest::collection::vec(0u8..2, 33),
+                2usize..12,
+            ),
+            picks in proptest::collection::vec(0usize..64, 20usize..120),
+            noise in proptest::collection::vec(0u8..8, 120),
+        ) {
+            let x: Vec<Vec<f32>> = picks
+                .iter()
+                .map(|&p| prototypes[p % prototypes.len()].iter().map(|&v| f32::from(v)).collect())
+                .collect();
+            // A noisy majority vote over three flags, with both classes.
+            let mut y: Vec<bool> = x
+                .iter()
+                .zip(&noise)
+                .map(|(r, &e)| (r[0] + r[1] + r[2] >= 2.0) != (e == 0))
+                .collect();
+            if y.iter().all(|&v| v == y[0]) {
+                y[0] = !y[0];
+            }
+            let config = GradientBoostingConfig::default();
+            let binned = GradientBoostingClassifier::fit(&x, &y, &config);
+            let exact = fit_exact_reference(&x, &y, &config);
+            proptest::prop_assert!(binned.used_binned());
+            proptest::prop_assert_eq!(binned.n_stages(), exact.n_stages());
+            proptest::prop_assert_eq!(&binned.trees, &exact.trees);
+            for sample in &x {
+                proptest::prop_assert_eq!(
+                    binned.predict_proba(sample).to_bits(),
+                    exact.predict_proba(sample).to_bits()
+                );
+            }
+        }
+    }
 }

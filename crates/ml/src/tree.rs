@@ -6,11 +6,13 @@
 //! * [`RegressionTree::fit`] — the exact reference: per node, per feature,
 //!   stable comparison sort of the sample order, prefix-sum split scan.
 //! * [`RegressionTree::fit_binned`] — the histogram path over a
-//!   [`BinnedDataset`]: per-node bin-count histograms (with the sibling =
-//!   parent − child subtraction trick) drive a *stable counting sort*, so
-//!   the split scan visits samples in exactly the order the reference's
-//!   comparison sort would, and every f64 accumulation happens in the same
-//!   sequence. Equivalence is pinned by tests, not approximate.
+//!   [`BinnedDataset`]: per-node bin-count histograms (the root's comes
+//!   from the dataset; below it, the sibling = parent − child subtraction
+//!   trick) drive a *stable counting sort*, so the split scan visits
+//!   samples in exactly the order the reference's comparison sort would,
+//!   and every f64 accumulation happens in the same sequence. A feature
+//!   with two occupied bins in a node sorts and scores in one pass.
+//!   Equivalence is pinned by tests, not approximate.
 
 use crate::binned::BinnedDataset;
 use matelda_exec::Executor;
@@ -92,7 +94,8 @@ impl RegressionTree {
     /// are integers and features are independent, so the histogram — and
     /// therefore the tree — is bit-identical at every thread count).
     /// Small nodes stay serial, below a cells threshold that keeps
-    /// the pool wake cheaper than the work it offloads.
+    /// the pool wake cheaper than the work it offloads. The root needs no
+    /// histogram build: it is [`BinnedDataset::root_histogram`].
     pub fn fit_binned_with(
         data: &BinnedDataset,
         targets: &[f64],
@@ -105,8 +108,7 @@ impl RegressionTree {
         assert_eq!(data.n_samples(), hessians.len());
         let mut tree = Self { nodes: Vec::new() };
         let idx: Vec<usize> = (0..data.n_samples()).collect();
-        let hist = node_histogram_with(data, &idx, exec);
-        tree.grow_binned(data, targets, hessians, &idx, &hist, 0, config, exec);
+        tree.grow_binned(data, targets, hessians, &idx, data.root_histogram(), 0, config, exec);
         tree
     }
 
@@ -315,7 +317,13 @@ fn node_histogram_with(data: &BinnedDataset, idx: &[usize], exec: &Executor) -> 
 /// same carried-over order, then accumulating the prefix sum point by
 /// point in that order — the f64 additions happen in the identical
 /// sequence, so scores (and thus the argmax under strict `>`) are
-/// bit-identical, not merely close.
+/// bit-identical, not merely close. A feature with exactly two occupied
+/// bins takes [`two_bin_pass`] instead.
+///
+/// Not inlined into the recursive grower: there, the counting-sort scan
+/// measured up to ~30% slower on 3,000 samples of 33 five-valued
+/// features (2-vCPU Xeon).
+#[inline(never)]
 fn best_split_binned(
     data: &BinnedDataset,
     targets: &[f64],
@@ -327,6 +335,19 @@ fn best_split_binned(
     let total_sum: f64 = idx.iter().map(|&i| targets[i]).sum();
     let max_bins = data.max_bins();
     let mut best: Option<(usize, u8, f64)> = None;
+    // Scores the candidate with `nl` samples left of the boundary; the
+    // reference's strict `>` keeps the first of equal scores.
+    let mut consider = |f: usize, bin: u8, nl: usize, left_sum: f64| {
+        if nl < min_leaf || idx.len() - nl < min_leaf {
+            return;
+        }
+        let (nl, nr) = (nl as f64, n - nl as f64);
+        let right_sum = total_sum - left_sum;
+        let score = left_sum * left_sum / nl + right_sum * right_sum / nr;
+        if best.is_none_or(|(_, _, s)| score > s) {
+            best = Some((f, bin, score));
+        }
+    };
 
     let mut order: Vec<usize> = idx.to_vec();
     let mut sorted: Vec<usize> = vec![0; idx.len()];
@@ -334,47 +355,81 @@ fn best_split_binned(
     for f in 0..data.n_features() {
         let nb = data.n_bins(f);
         let counts = &hist[f * max_bins..f * max_bins + nb];
-        if counts.iter().filter(|&&c| c > 0).count() <= 1 {
-            // Feature is constant within this node: the reference's stable
-            // sort is the identity (order carries over unchanged) and no
-            // bin boundary exists, so it generates no candidates either.
-            continue;
-        }
-
-        // Stable counting sort of `order` by this feature's bin code.
-        cursor[0] = 0;
-        for b in 0..nb {
-            cursor[b + 1] = cursor[b] + counts[b] as usize;
-        }
         let codes = data.codes_of(f);
-        for &i in &order {
-            let b = codes[i] as usize;
-            sorted[cursor[b]] = i;
-            cursor[b] += 1;
-        }
-        std::mem::swap(&mut order, &mut sorted);
+        let mut occupied = counts.iter().enumerate().filter(|&(_, &c)| c > 0);
+        let Some((lo, &n_lo)) = occupied.next() else { continue };
+        match 1 + occupied.count() {
+            // Feature is constant within this node: the reference's
+            // stable sort is the identity (order carries over unchanged)
+            // and no bin boundary exists, so it generates no candidates.
+            1 => continue,
+            2 => {
+                let (lo, n_lo) = (lo as u8, n_lo as usize);
+                let left_sum = two_bin_pass(&order, &mut sorted, codes, lo, n_lo, targets);
+                std::mem::swap(&mut order, &mut sorted);
+                consider(f, lo, n_lo, left_sum);
+            }
+            _ => {
+                // Stable counting sort of `order` by this feature's bin code.
+                cursor[0] = 0;
+                for b in 0..nb {
+                    cursor[b + 1] = cursor[b] + counts[b] as usize;
+                }
+                for &i in &order {
+                    let b = codes[i] as usize;
+                    sorted[cursor[b]] = i;
+                    cursor[b] += 1;
+                }
+                std::mem::swap(&mut order, &mut sorted);
 
-        let mut left_sum = 0.0f64;
-        for (pos, &i) in order.iter().enumerate().take(order.len() - 1) {
-            left_sum += targets[i];
-            let nl = (pos + 1) as f64;
-            let nr = n - nl;
-            let (a, b) = (codes[i], codes[order[pos + 1]]);
-            if a == b {
-                continue; // not a boundary between distinct values
-            }
-            if (pos + 1) < min_leaf || (order.len() - pos - 1) < min_leaf {
-                continue;
-            }
-            let right_sum = total_sum - left_sum;
-            let score = left_sum * left_sum / nl + right_sum * right_sum / nr;
-            if best.is_none_or(|(_, _, s)| score > s) {
-                best = Some((f, a, score));
+                let mut left_sum = 0.0f64;
+                for (pos, &i) in order.iter().enumerate().take(order.len() - 1) {
+                    left_sum += targets[i];
+                    let a = codes[i];
+                    if a != codes[order[pos + 1]] {
+                        consider(f, a, pos + 1, left_sum);
+                    }
+                }
             }
         }
     }
 
     best.map(|(f, b, _)| (f, b))
+}
+
+/// The split search of a feature whose node samples fall in exactly two
+/// bins, `lo` (holding `n_lo` of them) and one above it, in one pass.
+/// Writes into `sorted` the stable partition of `order`: the `lo`
+/// samples, then the others, each in carried order. That is the
+/// reference's stable sort of two values. Returns the `lo` samples'
+/// target sum, added from `0.0` in carried order. The reference's only
+/// candidate is the boundary after the `lo` samples, and its prefix sum
+/// there has made exactly these additions in exactly this sequence.
+///
+/// Not inlined into [`best_split_binned`], whose multi-valued scan it
+/// measurably slowed there.
+#[inline(never)]
+fn two_bin_pass(
+    order: &[usize],
+    sorted: &mut [usize],
+    codes: &[u8],
+    lo: u8,
+    n_lo: usize,
+    targets: &[f64],
+) -> f64 {
+    let (mut l, mut r) = (0, n_lo);
+    let mut left_sum = 0.0f64;
+    for &i in order {
+        if codes[i] == lo {
+            sorted[l] = i;
+            l += 1;
+            left_sum += targets[i];
+        } else {
+            sorted[r] = i;
+            r += 1;
+        }
+    }
+    left_sum
 }
 
 /// Finds the split (feature, threshold) with the largest weighted-variance
@@ -584,10 +639,12 @@ mod tests {
 
     #[test]
     fn parallel_histogram_trees_are_bit_identical_to_serial() {
-        // 2200 samples × 33 features clears PARALLEL_HIST_MIN_CELLS, so
-        // the root histogram really fans out across features; the fitted
-        // trees must match the serial build arena-for-arena.
-        let n = 2200usize;
+        // The root's histogram comes from the dataset, so only child
+        // nodes build one. 8800 samples × 33 features puts the root's
+        // smaller child above PARALLEL_HIST_MIN_CELLS, so its histogram
+        // really fans out across features; the fitted trees must match
+        // the serial build arena-for-arena.
+        let n = 8800usize;
         let nf = 33usize;
         let x: Vec<Vec<f32>> =
             (0..n).map(|i| (0..nf).map(|f| ((i * (f + 3)) % 7) as f32).collect()).collect();
@@ -601,6 +658,8 @@ mod tests {
             let parallel =
                 RegressionTree::fit_binned_with(&data, &targets, &hessians, &config, &exec);
             assert_eq!(serial, parallel, "threads={threads}");
+            // Pool workers start on the first parallel map only.
+            assert!(exec.workers_spawned() > 0, "threads={threads}: no parallel histogram ran");
         }
     }
 
@@ -631,6 +690,41 @@ mod tests {
                 (0..x.len()).map(|i| 0.5 + f64::from(targets_raw[i].unsigned_abs())).collect();
             let config = TreeConfig { max_depth, min_samples_leaf: min_leaf };
             let data = BinnedDataset::build(&x).expect("palette data is binnable");
+            let exact = RegressionTree::fit(&x, &targets, &hessians, &config);
+            let binned = RegressionTree::fit_binned(&data, &targets, &hessians, &config);
+            proptest::prop_assert_eq!(exact, binned);
+        }
+
+        // The pipeline's features are {0,1} flags, so every feature that
+        // varies within a node has exactly two occupied bins and takes
+        // the fused two-bin pass. Rows repeat a few prototypes, so the
+        // carried order holds long tie runs. Thirds are not dyadic, so
+        // f64 sums of them round differently when added in another order.
+        #[test]
+        fn binary_palette_binned_tree_equals_exact_tree(
+            prototypes in proptest::collection::vec(
+                proptest::collection::vec(0u8..2, 33),
+                1usize..10,
+            ),
+            picks in proptest::collection::vec(0usize..64, 2usize..80),
+            n_features in 1usize..34,
+            targets_raw in proptest::collection::vec(-4i8..4, 80),
+            max_depth in 1usize..4,
+            min_leaf in 1usize..3,
+        ) {
+            let x: Vec<Vec<f32>> = picks
+                .iter()
+                .map(|&p| {
+                    let row = &prototypes[p % prototypes.len()][..n_features];
+                    row.iter().map(|&v| f32::from(v)).collect()
+                })
+                .collect();
+            let targets: Vec<f64> =
+                (0..x.len()).map(|i| f64::from(targets_raw[i]) / 3.0).collect();
+            let hessians: Vec<f64> =
+                (0..x.len()).map(|i| 0.5 + f64::from(targets_raw[i].unsigned_abs())).collect();
+            let config = TreeConfig { max_depth, min_samples_leaf: min_leaf };
+            let data = BinnedDataset::build(&x).expect("flags are binnable");
             let exact = RegressionTree::fit(&x, &targets, &hessians, &config);
             let binned = RegressionTree::fit_binned(&data, &targets, &hessians, &config);
             proptest::prop_assert_eq!(exact, binned);

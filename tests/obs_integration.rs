@@ -88,16 +88,24 @@ fn trace_covers_the_run_and_every_stage_and_agrees_with_the_report() {
     assert_eq!(fold_sizes.count, result.n_quality_folds as u64);
     assert_eq!(fold_sizes.sum as usize, gl.dirty.n_cells(), "folds partition the lake's cells");
 
-    // Every classify work item records which GBM kernel trained it;
-    // binned + exact must account for every fitted model.
+    // Every classify work item records which GBM kernel trained it, or
+    // that its one-class labels gave a constant model without training;
+    // binned + exact + constant must account for every model. Every
+    // feature is a {0,1} flag, so no fit falls back to the exact path.
     let fits = obs.counter("classify.binned_fits").unwrap_or(0)
-        + obs.counter("classify.exact_fits").unwrap_or(0);
+        + obs.counter("classify.exact_fits").unwrap_or(0)
+        + obs.counter("classify.constant_fits").unwrap_or(0);
     let models = result
         .report
         .stage("classify")
         .and_then(|s| s.metric("models"))
         .expect("classify model count") as u64;
-    assert_eq!(fits, models, "kernel counters must cover every classify fit");
+    assert_eq!(fits, models, "kernel counters must cover every classify model");
+    assert_eq!(
+        obs.counter("classify.exact_fits").unwrap_or(0),
+        0,
+        "binary features never fit exact"
+    );
 
     // The report's per-stage wall times come from the same spans.
     assert_eq!(result.report.stages.len(), STAGES.len());
