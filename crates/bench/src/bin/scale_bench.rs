@@ -16,10 +16,11 @@
 //!   *before* the in-memory digest leg materializes the lake;
 //! * the RSS budget is `lake_bytes × 32 + 128 MiB`: cell values are
 //!   never lake-wide resident, but the featurized lake is (quality-fold
-//!   k-means clusters all cells at once), and features cost
-//!   `FEATURE_DIM × 8` bytes per cell against ~14 columnar bytes per
-//!   cell — a fixed ~27× multiple of the lake size, independent of
-//!   tier. The constant covers the runtime floor on small lakes.
+//!   k-means clusters all cells at once), and features cost 4 bytes
+//!   per cell (one pattern code) plus a small per-table pattern table,
+//!   against ~14 columnar bytes per cell — a fixed multiple of the lake
+//!   size, independent of tier, well inside the budget. The constant
+//!   covers the runtime floor on small lakes.
 //!   Exceeding the budget → nonzero exit, which is the CI job's
 //!   assertion; the tighter check is the gate's relative clause (fresh
 //!   peak ≤ 1.5× the committed baseline's).

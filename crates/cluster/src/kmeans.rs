@@ -7,7 +7,7 @@
 //! over the hierarchical clustering of prior work for efficiency (§3.3.2)
 //! and sets the batch size to `256 × cores` (§4.1.3).
 
-use crate::matrix::{nearest_centers_blocked, PointMatrix};
+use crate::matrix::{nearest_centers_blocked, DistinctRows, PointMatrix};
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
@@ -73,20 +73,38 @@ impl MiniBatchKMeans {
         self.fit_matrix(&PointMatrix::from_rows(points))
     }
 
-    /// Fits on a contiguous feature matrix — the zero-copy entry point
-    /// used by the pipeline's quality-folding stage. Bit-identical to
-    /// [`MiniBatchKMeans::fit`] on the same rows: the RNG call sequence
-    /// (seeding, k-means++ picks, per-iteration batch sampling) and every
-    /// float operation are unchanged; only the distance kernel iterates
-    /// in cache blocks over contiguous storage.
+    /// Fits on a contiguous feature matrix. Bit-identical to
+    /// [`MiniBatchKMeans::fit`] on the same rows: it keys each row by its
+    /// bit pattern and runs [`MiniBatchKMeans::fit_keyed`].
     pub fn fit_matrix(&self, points: &PointMatrix) -> KMeansFit {
-        let n = points.n();
+        let mut distinct = DistinctRows::new(points.dim());
+        let keys: Vec<u32> = (0..points.n()).map(|i| distinct.intern(points.row(i))).collect();
+        self.fit_keyed(&distinct.into_matrix(), &keys)
+    }
+
+    /// Fits on the `keys.len()` points whose rows are
+    /// `distinct.row(keys[i])` — the entry point used by the pipeline's
+    /// quality-folding stage, whose folds repeat few distinct vectors.
+    ///
+    /// Bit-identical to fitting the materialized points: the RNG call
+    /// sequence (seeding, k-means++ picks, per-iteration batch sampling),
+    /// the clamp of `k` to the number of *points*, the k-means++ sums
+    /// and weighted scans over the points in point order, and the
+    /// mini-batch updates are all unchanged. Only the k-means++ distances
+    /// and the final assignment — pure functions of a row's bits and the
+    /// centers — are computed once per distinct row and shared by its
+    /// points.
+    ///
+    /// # Panics
+    /// Panics if a key is not a row of `distinct`.
+    pub fn fit_keyed(&self, distinct: &PointMatrix, keys: &[u32]) -> KMeansFit {
+        let n = keys.len();
         if n == 0 {
             return KMeansFit { centers: Vec::new(), assignments: Vec::new() };
         }
         let k = self.config.k.clamp(1, n);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut centers = kmeanspp_init(points, k, &mut rng);
+        let mut centers = kmeanspp_init(distinct, keys, k, &mut rng);
 
         // Sculley's algorithm: per-center counts give decaying step sizes.
         let mut counts = vec![0usize; k];
@@ -95,22 +113,22 @@ impl MiniBatchKMeans {
         for _ in 0..self.config.iterations {
             let idx = sample(&mut rng, n, batch);
             batch_rows.clear();
-            batch_rows.extend(idx.iter());
+            batch_rows.extend(idx.iter().map(|i| keys[i] as usize));
             // Cache nearest centers for the whole batch first (the paper's
             // algorithm caches before updating).
-            let nearest = nearest_centers_blocked(points, &batch_rows, &centers);
-            for (&i, &c) in batch_rows.iter().zip(&nearest) {
+            let nearest = nearest_centers_blocked(distinct, &batch_rows, &centers);
+            for (&row, &c) in batch_rows.iter().zip(&nearest) {
                 counts[c] += 1;
                 let eta = 1.0 / counts[c] as f32;
-                for (cv, pv) in centers[c].iter_mut().zip(points.row(i)) {
+                for (cv, pv) in centers[c].iter_mut().zip(distinct.row(row)) {
                     *cv += eta * (*pv - *cv);
                 }
             }
         }
 
-        let all_rows: Vec<usize> = (0..n).collect();
-        let assignments = nearest_centers_blocked(points, &all_rows, &centers);
-        KMeansFit { centers, assignments }
+        let all_rows: Vec<usize> = (0..distinct.n()).collect();
+        let nearest = nearest_centers_blocked(distinct, &all_rows, &centers);
+        KMeansFit { centers, assignments: keys.iter().map(|&u| nearest[u as usize]).collect() }
     }
 }
 
@@ -138,14 +156,25 @@ pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// k-means++ seeding (Arthur & Vassilvitskii 2007).
-fn kmeanspp_init(points: &PointMatrix, k: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
-    let n = points.n();
+/// k-means++ seeding (Arthur & Vassilvitskii 2007) over the points
+/// `distinct.row(keys[i])`. A point's distance to its nearest center is
+/// kept per distinct row (`d2`): every point of a row has the same one.
+fn kmeanspp_init(
+    distinct: &PointMatrix,
+    keys: &[u32],
+    k: usize,
+    rng: &mut StdRng,
+) -> Vec<Vec<f32>> {
+    let n = keys.len();
+    let point = |i: usize| distinct.row(keys[i] as usize);
     let mut centers: Vec<Vec<f32>> = Vec::with_capacity(k);
-    centers.push(points.row(rng.random_range(0..n)).to_vec());
-    let mut d2: Vec<f32> = (0..n).map(|i| sq_dist(points.row(i), &centers[0])).collect();
+    centers.push(point(rng.random_range(0..n)).to_vec());
+    let mut d2: Vec<f32> =
+        (0..distinct.n()).map(|u| sq_dist(distinct.row(u), &centers[0])).collect();
     while centers.len() < k {
-        let total: f32 = d2.iter().sum();
+        // The sum and the weighted scan run over the points in point
+        // order, so they add the same f32s in the same sequence.
+        let total: f32 = keys.iter().map(|&u| d2[u as usize]).sum();
         let next = if total <= 0.0 || !total.is_finite() {
             // All remaining points coincide with existing centers — or a
             // huge/NaN feature value pushed the distance mass out of f32
@@ -156,7 +185,8 @@ fn kmeanspp_init(points: &PointMatrix, k: usize, rng: &mut StdRng) -> Vec<Vec<f3
         } else {
             let mut target = rng.random_range(0.0..total);
             let mut chosen = n - 1;
-            for (i, &d) in d2.iter().enumerate() {
+            for (i, &u) in keys.iter().enumerate() {
+                let d = d2[u as usize];
                 if target < d {
                     chosen = i;
                     break;
@@ -165,12 +195,12 @@ fn kmeanspp_init(points: &PointMatrix, k: usize, rng: &mut StdRng) -> Vec<Vec<f3
             }
             chosen
         };
-        centers.push(points.row(next).to_vec());
+        centers.push(point(next).to_vec());
         let latest = centers.last().expect("just pushed").clone();
-        for (i, d2i) in d2.iter_mut().enumerate() {
-            let d = sq_dist(points.row(i), &latest);
-            if d < *d2i {
-                *d2i = d;
+        for (u, d2u) in d2.iter_mut().enumerate() {
+            let d = sq_dist(distinct.row(u), &latest);
+            if d < *d2u {
+                *d2u = d;
             }
         }
     }
@@ -375,6 +405,16 @@ mod tests {
         }
     }
 
+    /// Asserts two fits are the same bits: `assert_eq!` on the centers
+    /// cannot hold once a NaN is among them.
+    fn assert_same_fit(got: &KMeansFit, want: &KMeansFit, what: &str) {
+        let bits = |fit: &KMeansFit| -> Vec<Vec<u32>> {
+            fit.centers.iter().map(|c| c.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        assert_eq!(got.assignments, want.assignments, "{what}: assignments");
+        assert_eq!(bits(got), bits(want), "{what}: center bits");
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -397,6 +437,53 @@ mod tests {
             let slow = naive_fit(&cfg, &raw);
             proptest::prop_assert_eq!(fast.assignments, slow.assignments);
             proptest::prop_assert_eq!(fast.centers, slow.centers);
+        }
+
+        // Under heavy duplication — a few prototype rows, repeated into
+        // up to ~300 points — `fit`, `fit_matrix` and the keyed core all
+        // equal the per-point reference bit for bit. Rows are {0,1} flag
+        // rows or mix in -0.0 and non-dyadic values (so a reordered f32
+        // sum changes bits), and about half the cases plant one +inf or
+        // NaN-with-payload value. The keyed core gets the prototypes as
+        // they are, duplicates and unused rows included: its result may
+        // depend only on each point's row bits.
+        #[test]
+        fn keyed_fit_equals_naive_fit_under_heavy_duplication(
+            protos in proptest::collection::vec(
+                (0usize..2, proptest::collection::vec(0usize..8, 4)),
+                1..7,
+            ),
+            special in proptest::collection::vec((0usize..6, 0usize..4, 0usize..2), 0..2),
+            picks in proptest::collection::vec(0usize..6, 1..300),
+            k in 1usize..8,
+            seed in 0u64..1000,
+            batch in 1usize..64,
+            iterations in 0usize..20,
+        ) {
+            const MIXED: [f32; 8] = [0.0, 1.0, -0.0, 0.1, 0.7, 1.3, 1.0 / 3.0, 2.9];
+            let mut protos: Vec<Vec<f32>> = protos
+                .iter()
+                .map(|(flags, p)| {
+                    p.iter().map(|&i| if *flags == 1 { (i % 2) as f32 } else { MIXED[i] }).collect()
+                })
+                .collect();
+            for &(p, d, which) in &special {
+                let len = protos.len();
+                protos[p % len][d] =
+                    if which == 0 { f32::INFINITY } else { f32::from_bits(0x7FC0_1234) };
+            }
+            let keys: Vec<u32> = picks.iter().map(|&p| (p % protos.len()) as u32).collect();
+            let points: Vec<Vec<f32>> = keys.iter().map(|&u| protos[u as usize].clone()).collect();
+            let cfg = MiniBatchKMeansConfig { k, batch_size: batch, iterations, seed };
+            let km = MiniBatchKMeans::new(cfg.clone());
+            let want = naive_fit(&cfg, &points);
+            assert_same_fit(&km.fit(&points), &want, "fit");
+            assert_same_fit(&km.fit_matrix(&PointMatrix::from_rows(&points)), &want, "fit_matrix");
+            assert_same_fit(
+                &km.fit_keyed(&PointMatrix::from_rows(&protos), &keys),
+                &want,
+                "fit_keyed",
+            );
         }
 
         // Seeding and fitting never panic for feature values anywhere in

@@ -14,9 +14,10 @@
 //!   as the hierarchical alternative the paper mentions in §3.3.2.
 //! * [`linkage`] — the shared single-linkage dendrogram machinery
 //!   (union-find, merge list).
-//! * [`matrix`] — the contiguous row-major [`PointMatrix`] and the
-//!   cache-blocked distance kernels shared by k-means assignment and
-//!   HDBSCAN's pairwise construction (bit-identical to the naive paths).
+//! * [`matrix`] — the contiguous row-major [`PointMatrix`], its
+//!   bit-keyed [`DistinctRows`] form, and the cache-blocked distance
+//!   kernels shared by k-means assignment and HDBSCAN's pairwise
+//!   construction (bit-identical to the naive paths).
 //!
 //! All entry points are deterministic given their seed.
 
@@ -31,4 +32,4 @@ pub use agglo::agglomerative;
 pub use budget::{check_budget, dense_matrix_bytes, ScaleError};
 pub use hdbscan::{Hdbscan, HdbscanConfig, NOISE};
 pub use kmeans::{MiniBatchKMeans, MiniBatchKMeansConfig};
-pub use matrix::PointMatrix;
+pub use matrix::{DistinctRows, PointMatrix};

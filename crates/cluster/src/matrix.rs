@@ -15,6 +15,7 @@
 
 use crate::budget::{check_budget, dense_matrix_bytes, ScaleError};
 use crate::kmeans::sq_dist;
+use std::collections::HashMap;
 
 /// Rows of points per cache block in [`nearest_centers_blocked`].
 const ROW_BLOCK: usize = 64;
@@ -78,6 +79,46 @@ impl PointMatrix {
     /// Point `i` as a contiguous slice.
     pub fn row(&self, i: usize) -> &[f32] {
         &self.data[i * self.dim..(i + 1) * self.dim]
+    }
+}
+
+/// A [`PointMatrix`] of distinct rows, each stored once and keyed by
+/// its f32 bit pattern — so `-0.0` and every NaN payload are rows of
+/// their own, and two points share a key exactly when every kernel here
+/// computes the same bits for them.
+#[derive(Debug, Clone, Default)]
+pub struct DistinctRows {
+    rows: PointMatrix,
+    index: HashMap<Vec<u32>, u32>,
+    bits: Vec<u32>,
+}
+
+impl DistinctRows {
+    /// No rows yet, of `dim` features each.
+    pub fn new(dim: usize) -> Self {
+        Self { rows: PointMatrix::with_capacity(0, dim), ..Self::default() }
+    }
+
+    /// The key of `row` (its index in [`DistinctRows::into_matrix`]),
+    /// appending it if its bits are new.
+    ///
+    /// # Panics
+    /// Panics if a new row's length is not `dim`.
+    pub fn intern(&mut self, row: &[f32]) -> u32 {
+        self.bits.clear();
+        self.bits.extend(row.iter().map(|v| v.to_bits()));
+        if let Some(&key) = self.index.get(self.bits.as_slice()) {
+            return key;
+        }
+        let key = u32::try_from(self.rows.n()).expect("under 2^32 distinct rows");
+        self.rows.push_row(row);
+        self.index.insert(self.bits.clone(), key);
+        key
+    }
+
+    /// The distinct rows in first-interned order.
+    pub fn into_matrix(self) -> PointMatrix {
+        self.rows
     }
 }
 

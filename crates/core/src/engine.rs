@@ -71,11 +71,12 @@ use crate::domain_fold::{
 };
 use crate::pipeline::{FaultPolicy, LabelingStrategy, MateldaConfig, TrainingStrategy};
 use crate::quality_fold::{budget_per_fold, quality_folds, single_quality_fold, QualityFold};
+use matelda_cluster::MiniBatchKMeansConfig;
 use matelda_detect::{featurize_table, load_features, spill_features, spill_path, CellFeatures};
 use matelda_embed::encoder::HashedEncoder;
 use matelda_exec::{faultpoint, Deadline, Executor, ItemFault, RunReport, StageReport};
 use matelda_ml::FittedClassifier;
-use matelda_obs::{Buckets, Obs, Val};
+use matelda_obs::{Buckets, Obs, ProcMemory, Val};
 use matelda_table::chunked::{ChunkSource, ChunkedError, ColumnarReader};
 use matelda_table::oracle::Labeler;
 use matelda_table::{CellId, CellMask, Lake, Table};
@@ -362,18 +363,37 @@ pub trait Stage {
     /// Runs the stage under the context's timer and the configured
     /// watchdog deadline, then appends its report. The stage span is
     /// also the report's timer (one monotonic source); with a recording
-    /// handle the stage's counters and metrics land in the registry and
-    /// a `stage.end` event marks the boundary in the run log.
+    /// handle the stage's counters and metrics land in the registry, its
+    /// resident memory at open and close (Linux only) lands in the span
+    /// and in `stage.{rss,hwm,rss_delta}_bytes.<stage>` gauges, and a
+    /// `stage.end` event marks the boundary in the run log.
     fn run<'i>(&mut self, ctx: &mut StageContext<'_>, input: Self::Input<'i>) -> Self::Output {
         let name = self.name();
         let mut stage = StageReport::new(name);
+        let traced = ctx.obs.is_enabled();
+        let memory = || traced.then(ProcMemory::read).flatten();
+        let at_open = memory();
         let mut span = ctx.obs.span_scope("stage", name);
         ctx.deadline = ctx.config.stage_timeout.map(Deadline::after);
         let out = self.execute(ctx, input, &mut stage);
         ctx.deadline = None;
         span.arg("items", stage.items as f64);
+        let gauges = at_open.zip(memory()).map_or_else(Vec::new, |(open, close)| {
+            span.arg("rss_open_bytes", open.rss_bytes as f64);
+            vec![
+                ("rss_bytes", close.rss_bytes as f64),
+                ("hwm_bytes", close.hwm_bytes as f64),
+                ("rss_delta_bytes", close.rss_bytes as f64 - open.rss_bytes as f64),
+            ]
+        });
+        for &(key, value) in &gauges {
+            span.arg(key, value);
+        }
         stage.wall_secs = span.finish_secs();
-        if ctx.obs.is_enabled() {
+        if traced {
+            for &(key, value) in &gauges {
+                ctx.obs.gauge_set(&format!("stage.{key}.{name}"), value);
+            }
             ctx.obs.counter_add(&format!("stage.items.{name}"), stage.items);
             if stage.wall_secs > 0.0 {
                 ctx.obs.gauge_set(
@@ -704,14 +724,18 @@ impl Stage for QualityFoldStage {
                 }
                 faultpoint::hit("quality_folds", fi);
                 let seed = cfg.seed ^ (fi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let kmeans = MiniBatchKMeansConfig {
+                    k,
+                    batch_size: cfg.kmeans_batch,
+                    iterations: cfg.kmeans_iterations,
+                    seed,
+                };
                 let mut qfolds = quality_folds(
                     ctx.lake,
                     &domain.folds[fi],
                     &featurized.features,
-                    k,
-                    cfg.kmeans_batch,
-                    cfg.kmeans_iterations,
-                    seed,
+                    kmeans,
+                    &ctx.obs,
                 );
                 // TUCF labels only the `budgets[fi]` largest folds;
                 // otherwise every fold is labeled.

@@ -4,9 +4,11 @@
 
 use crate::domain_fold::Fold;
 use matelda_cluster::kmeans::{sq_dist, MiniBatchKMeans, MiniBatchKMeansConfig};
-use matelda_cluster::PointMatrix;
+use matelda_cluster::DistinctRows;
 use matelda_detect::CellFeatures;
+use matelda_obs::Obs;
 use matelda_table::{CellId, Lake};
+use std::collections::HashMap;
 
 /// One quality fold: member cells plus the centroid they cluster around.
 #[derive(Debug, Clone)]
@@ -71,39 +73,47 @@ pub fn budget_per_fold(folds: &[Fold], total_budget: usize) -> Vec<usize> {
     budgets
 }
 
-/// Clusters one domain fold's cells into `k` quality folds with
-/// mini-batch k-means over the unified feature space.
+/// Clusters one domain fold's cells into at most `kmeans.k` quality
+/// folds with mini-batch k-means over the unified feature space.
+///
+/// Each cell is a point keyed to its vector's row among the fold's
+/// distinct vectors, gathered through the tables' pattern codes — a
+/// vector shared by several tables is one row — so the fold's
+/// `cells × dim` matrix is never built, and k-means computes its
+/// distances once per distinct row ([`MiniBatchKMeans::fit_keyed`]).
+/// With `obs` enabled it counts `quality_folds.points` and
+/// `quality_folds.distinct_points`.
 pub fn quality_folds(
     lake: &Lake,
     fold: &Fold,
     features: &[CellFeatures],
-    k: usize,
-    batch_size: usize,
-    iterations: usize,
-    seed: u64,
+    kmeans: MiniBatchKMeansConfig,
+    obs: &Obs,
 ) -> Vec<QualityFold> {
-    // Gather the fold's cells and vectors.
-    let mut ids: Vec<CellId> = Vec::new();
+    let Some(&(first, _)) = fold.columns.first() else {
+        return Vec::new();
+    };
+    let mut distinct = DistinctRows::new(features[first].dim);
+    // Per table, each pattern code's distinct row, interned on first use.
+    let mut rows_of: HashMap<usize, Vec<Option<u32>>> = HashMap::new();
+    let n: usize = fold.columns.iter().map(|&(t, _)| lake[t].n_rows()).sum();
+    let (mut ids, mut keys) = (Vec::with_capacity(n), Vec::with_capacity(n));
     for &(t, c) in &fold.columns {
+        let f = &features[t];
+        let rows = rows_of.entry(t).or_insert_with(|| vec![None; f.n_patterns()]);
         for r in 0..lake[t].n_rows() {
+            let code = f.code(r, c);
+            keys.push(*rows[code as usize].get_or_insert_with(|| distinct.intern(f.pattern(code))));
             ids.push(CellId::new(t, r, c));
         }
     }
     if ids.is_empty() {
         return Vec::new();
     }
-    // Gather into one contiguous matrix (a single allocation, borrowed
-    // slices copied in place) — the layout the blocked k-means kernel
-    // consumes directly.
-    let dim = features[ids[0].table].dim;
-    let mut points = PointMatrix::with_capacity(ids.len(), dim);
-    for id in &ids {
-        points.push_row(features[id.table].get(id.row, id.col));
-    }
-
-    let fit =
-        MiniBatchKMeans::new(MiniBatchKMeansConfig { k: k.max(1), batch_size, iterations, seed })
-            .fit_matrix(&points);
+    let distinct = distinct.into_matrix();
+    obs.counter_add("quality_folds.points", ids.len() as u64);
+    obs.counter_add("quality_folds.distinct_points", distinct.n() as u64);
+    let fit = MiniBatchKMeans::new(kmeans).fit_keyed(&distinct, &keys);
 
     let n_centers = fit.centers.len();
     let mut folds: Vec<QualityFold> = (0..n_centers)
@@ -174,6 +184,10 @@ mod tests {
         lake.tables.iter().map(|t| featurize_table(t, &spell, &cfg)).collect()
     }
 
+    fn kmeans(k: usize, batch_size: usize, iterations: usize, seed: u64) -> MiniBatchKMeansConfig {
+        MiniBatchKMeansConfig { k, batch_size, iterations, seed }
+    }
+
     #[test]
     fn budget_split_proportional_with_floor() {
         let folds = vec![Fold { columns: vec![(0, 0); 8] }, Fold { columns: vec![(0, 0); 2] }];
@@ -208,7 +222,7 @@ mod tests {
         let l = lake();
         let fold = Fold { columns: vec![(0, 0), (0, 1)] };
         let f = features(&l);
-        let qf = quality_folds(&l, &fold, &f, 4, 64, 50, 0);
+        let qf = quality_folds(&l, &fold, &f, kmeans(4, 64, 50, 0), &Obs::disabled());
         let total: usize = qf.iter().map(|q| q.cells.len()).sum();
         assert_eq!(total, 12);
         let mut all: Vec<CellId> = qf.iter().flat_map(|q| q.cells.clone()).collect();
@@ -222,7 +236,7 @@ mod tests {
         let l = lake();
         let fold = Fold { columns: vec![(0, 0)] };
         let f = features(&l);
-        let qf = quality_folds(&l, &fold, &f, 2, 64, 80, 1);
+        let qf = quality_folds(&l, &fold, &f, kmeans(2, 64, 80, 1), &Obs::disabled());
         assert_eq!(qf.len(), 2);
         // The 9000 outlier should sit alone (or at least apart from the
         // typical ages).
@@ -239,7 +253,7 @@ mod tests {
         let l = lake();
         let fold = Fold { columns: vec![(0, 0), (0, 1)] };
         let f = features(&l);
-        let qf = quality_folds(&l, &fold, &f, 3, 64, 50, 2);
+        let qf = quality_folds(&l, &fold, &f, kmeans(3, 64, 50, 2), &Obs::disabled());
         let get = |id: CellId| f[id.table].get(id.row, id.col);
         for q in &qf {
             let s = q.sample(&get);
@@ -252,7 +266,65 @@ mod tests {
         let l = lake();
         let fold = Fold { columns: vec![] };
         let f = features(&l);
-        assert!(quality_folds(&l, &fold, &f, 2, 64, 10, 0).is_empty());
+        assert!(quality_folds(&l, &fold, &f, kmeans(2, 64, 10, 0), &Obs::disabled()).is_empty());
+    }
+
+    /// The keyed gather is pinned to the plain one: a fold over three
+    /// tables that share feature vectors, its columns listed out of table
+    /// order, clusters into the same cells around the same centroid bits
+    /// as the fold's vectors gathered row by row through
+    /// [`MiniBatchKMeans::fit`] — and a vector the tables share is one
+    /// distinct point.
+    #[test]
+    fn keyed_quality_folds_equal_folds_gathered_as_rows() {
+        let table = |name: &str, ages: [&str; 6]| {
+            Table::new(
+                name,
+                vec![
+                    Column::new("age", ages),
+                    Column::new("name", ["red", "blue", "green", "red", "blue", "qqzzk"]),
+                ],
+            )
+        };
+        let l = Lake::new(vec![
+            table("a", ["24", "25", "26", "9000", "27", "24"]),
+            table("b", ["31", "30", "31", "32", "-5", "30"]),
+            table("c", ["24", "25", "26", "9000", "27", "24"]),
+        ]);
+        let f = features(&l);
+        let fold = Fold { columns: vec![(2, 1), (0, 0), (1, 1), (2, 0), (0, 1), (1, 0)] };
+        let mut rows = Vec::new();
+        let mut ids = Vec::new();
+        for &(t, c) in &fold.columns {
+            for r in 0..l[t].n_rows() {
+                rows.push(f[t].get(r, c).to_vec());
+                ids.push(CellId::new(t, r, c));
+            }
+        }
+        for (k, seed) in [(1, 0), (3, 5), (5, 11), (40, 2)] {
+            let cfg = kmeans(k, 8, 30, seed);
+            let obs = Obs::enabled();
+            let got = quality_folds(&l, &fold, &f, cfg.clone(), &obs);
+            let fit = MiniBatchKMeans::new(cfg).fit(&rows);
+            let mut want: Vec<(Vec<CellId>, Vec<u32>)> = fit
+                .centers
+                .iter()
+                .map(|c| (Vec::new(), c.iter().map(|v| v.to_bits()).collect()))
+                .collect();
+            for (i, &cluster) in fit.assignments.iter().enumerate() {
+                want[cluster].0.push(ids[i]);
+            }
+            want.retain(|(cells, _)| !cells.is_empty());
+            let got: Vec<(Vec<CellId>, Vec<u32>)> = got
+                .into_iter()
+                .map(|q| (q.cells, q.centroid.iter().map(|v| v.to_bits()).collect()))
+                .collect();
+            assert_eq!(got, want, "k {k} seed {seed}");
+            let per_table: usize = f.iter().map(CellFeatures::n_patterns).sum();
+            let distinct = obs.counter("quality_folds.distinct_points").expect("counted");
+            assert!(distinct < per_table as u64, "shared vectors are one point each");
+            assert_eq!(obs.counter("quality_folds.points"), Some(ids.len() as u64));
+        }
     }
 
     #[test]

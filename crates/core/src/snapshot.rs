@@ -349,8 +349,9 @@ impl ArtifactCodec for FeaturizedLake {
             w.write_varint(f.dim as u64);
             // The matrix encodes as one f32 run — long {0,1} spans
             // bit-pack across cell boundaries now, not per cell. The
-            // blocked store is flattened transiently (one table's worth)
-            // to keep snapshot bytes identical to the flat-era format.
+            // dictionary store is flattened transiently (one table's
+            // worth) to keep snapshot bytes identical to the flat-era
+            // format, so `FORMAT_VERSION` needs no bump.
             encode_f32s(&f.to_flat(), w);
         }
     }
@@ -362,7 +363,10 @@ impl ArtifactCodec for FeaturizedLake {
             let n_rows = r.read_varint()? as usize;
             let dim = r.read_varint()? as usize;
             let data = decode_f32s(r)?;
-            if data.len() != n_cols.saturating_mul(n_rows).saturating_mul(dim) {
+            let n_cells = n_cols.saturating_mul(n_rows);
+            // Every cell holds a code, so cells without dimensions would
+            // size that table by the claim alone.
+            if data.len() != n_cells.saturating_mul(dim) || (dim == 0 && n_cells > 0) {
                 return Err(DecodeError::Malformed(format!(
                     "CellFeatures payload {} != {n_rows}x{n_cols}x{dim}",
                     data.len()
@@ -589,6 +593,18 @@ mod tests {
         };
         let (_, got) = round_trip(&f);
         assert_eq!(got.features[0].get(0, 1), &[-1.0; 3]);
+    }
+
+    #[test]
+    fn featurized_cells_without_dimensions_are_malformed() {
+        // 2^40 × 2^20 cells of dimension 0 claim no value bytes at all.
+        let mut w = Writer::new();
+        for v in [1, 1 << 40, 1 << 20, 0] {
+            w.write_varint(v);
+        }
+        encode_f32s(&[], &mut w);
+        let bytes = w.into_bytes();
+        assert!(FeaturizedLake::decode_from(&mut Reader::new(&bytes)).is_err());
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::outlier::{
 use crate::rules::{rule_signals_with, RuleSignals};
 use matelda_table::Table;
 use matelda_text::SpellChecker;
+use std::collections::HashMap;
 
 /// Dimensionality of the unified cell feature space: 9 histogram + 9
 /// Gaussian + 1 typo + 3 structural FD + 5 `nv_LHS` + 5 `nv_RHS` + 1
@@ -20,6 +21,8 @@ use matelda_text::SpellChecker;
 /// numeric columns. One explicit nullness bit restores that visibility in
 /// the unified space.
 pub const FEATURE_DIM: usize = 33;
+// `featurize_table` packs a cell's flags into one u64.
+const _: () = assert!(FEATURE_DIM <= 64);
 
 /// Offsets of the feature blocks within the vector.
 pub mod layout {
@@ -134,19 +137,15 @@ impl FeatureConfig {
     }
 }
 
-/// Byte target of one [`CellFeatures`] backing block (4 MiB). The real
-/// block length rounds down to a whole number of cells so a cell's `dim`
-/// values never straddle blocks.
-const FEATURE_BLOCK_BYTES: usize = 4 << 20;
-
-/// The feature vectors of every cell of one table, stored row-major
-/// (`n_rows * n_cols` cells of `dim` values each, cell index =
-/// `row * n_cols + col`) in a **blocked** backing store: a run of
-/// fixed-size blocks instead of one giant flat allocation, so a huge
-/// table never demands one contiguous `cells × dim` slab and blocks can
-/// spill to disk / stream back one at a time (DESIGN.md §14). Cell
-/// vectors never straddle a block, so `get` still hands out plain
-/// slices and the cluster/ML kernels are untouched.
+/// The feature vectors of every cell of one table, dictionary-encoded:
+/// each distinct vector is stored once in a pattern table, keyed by its
+/// f32 bit pattern (so `-0.0` and every NaN payload are patterns of
+/// their own), and each cell holds one `u32` code into it (row-major,
+/// cell index = `row * n_cols + col`). Pipeline vectors are {0,1}
+/// flags and a table holds few distinct ones, so a cell costs 4 bytes
+/// plus its share of the pattern table (DESIGN.md §14). `get` still
+/// hands out plain slices — of the pattern table — so the cluster/ML
+/// kernels see the same bits as before.
 #[derive(Debug, Clone)]
 pub struct CellFeatures {
     /// Number of columns (for indexing).
@@ -155,101 +154,78 @@ pub struct CellFeatures {
     pub n_rows: usize,
     /// Values per cell ([`FEATURE_DIM`] for pipeline-produced features).
     pub dim: usize,
-    /// Values per block — a multiple of `dim`, identical for every block
-    /// but the last.
-    block_len: usize,
-    /// The backing blocks; concatenated they are the old flat matrix.
-    blocks: Vec<Vec<f32>>,
+    /// Distinct vectors in first-seen (row-major) order, `dim` values each.
+    pub(crate) patterns: Vec<f32>,
+    /// Number of distinct vectors (`patterns.len() / dim` when `dim > 0`).
+    n_patterns: usize,
+    /// One code per cell, each `< n_patterns`.
+    pub(crate) codes: Vec<u32>,
 }
 
 impl CellFeatures {
-    /// Values per block for a given `dim` (a whole number of cells).
-    fn block_len_for(dim: usize) -> usize {
-        let dim = dim.max(1);
-        let cells_per_block = (FEATURE_BLOCK_BYTES / 4 / dim).max(1);
-        cells_per_block * dim
+    /// Interns one key per cell (row-major): a key seen before reuses its
+    /// code, a new one appends its vector, written by `unpack`.
+    fn encode<K: Copy + Eq + std::hash::Hash>(
+        n_cols: usize,
+        n_rows: usize,
+        dim: usize,
+        keys: impl Iterator<Item = K>,
+        mut unpack: impl FnMut(K, &mut Vec<f32>),
+    ) -> Self {
+        let mut index: HashMap<K, u32> = HashMap::new();
+        let mut patterns = Vec::new();
+        let codes = keys
+            .map(|key| {
+                let next = u32::try_from(index.len()).expect("under 2^32 distinct cell vectors");
+                *index.entry(key).or_insert_with(|| {
+                    unpack(key, &mut patterns);
+                    next
+                })
+            })
+            .collect();
+        Self { n_cols, n_rows, dim, patterns, n_patterns: index.len(), codes }
+    }
+
+    /// Reassembles from a pattern table and per-cell codes (the spill
+    /// reload path); `None` if the parts disagree with the shape or a
+    /// code is out of range.
+    pub(crate) fn from_parts(
+        n_cols: usize,
+        n_rows: usize,
+        dim: usize,
+        n_patterns: usize,
+        patterns: Vec<f32>,
+        codes: Vec<u32>,
+    ) -> Option<Self> {
+        let consistent = Some(patterns.len()) == n_patterns.checked_mul(dim)
+            && Some(codes.len()) == n_rows.checked_mul(n_cols)
+            && codes.iter().all(|&c| (c as usize) < n_patterns);
+        consistent.then_some(Self { n_cols, n_rows, dim, patterns, n_patterns, codes })
     }
 
     /// An all-zero feature matrix of the given shape.
     pub fn zeros(n_cols: usize, n_rows: usize, dim: usize) -> Self {
-        let total = n_rows * n_cols * dim;
-        let block_len = Self::block_len_for(dim);
-        let mut blocks = Vec::with_capacity(total.div_ceil(block_len.max(1)));
-        let mut remaining = total;
-        while remaining > 0 {
-            let this = remaining.min(block_len);
-            blocks.push(vec![0.0; this]);
-            remaining -= this;
-        }
-        Self { n_cols, n_rows, dim, block_len, blocks }
+        let cells = std::iter::repeat_n((), n_rows * n_cols);
+        Self::encode(n_cols, n_rows, dim, cells, |(), p| p.extend(std::iter::repeat_n(0.0, dim)))
     }
 
-    /// Builds from the old flat row-major matrix (`n_rows * n_cols * dim`
-    /// values). The snapshot decoder and spill reloads come through here.
+    /// Builds from the flat row-major matrix (`n_rows * n_cols * dim`
+    /// values). The snapshot decoder comes through here.
     ///
     /// # Panics
     /// Panics if `data.len()` disagrees with the shape.
     pub fn from_flat(n_cols: usize, n_rows: usize, dim: usize, data: Vec<f32>) -> Self {
-        assert_eq!(data.len(), n_rows * n_cols * dim, "flat payload shape mismatch");
-        let block_len = Self::block_len_for(dim);
-        let blocks = if data.is_empty() {
-            Vec::new()
-        } else {
-            data.chunks(block_len).map(<[f32]>::to_vec).collect()
-        };
-        Self { n_cols, n_rows, dim, block_len, blocks }
-    }
-
-    /// Reassembles from pre-split blocks (the spill reload path): every
-    /// block but the last must hold exactly `block_len` values.
-    pub(crate) fn from_blocks(
-        n_cols: usize,
-        n_rows: usize,
-        dim: usize,
-        block_len: usize,
-        blocks: Vec<Vec<f32>>,
-    ) -> Self {
-        debug_assert_eq!(
-            blocks.iter().map(Vec::len).sum::<usize>(),
-            n_rows * n_cols * dim,
-            "block payload shape mismatch"
-        );
-        Self { n_cols, n_rows, dim, block_len, blocks }
-    }
-
-    /// Values per block of the backing store (the last block may be
-    /// shorter).
-    pub fn block_len(&self) -> usize {
-        self.block_len
-    }
-
-    /// Like [`CellFeatures::from_flat`] with an explicit block length —
-    /// exercises block boundaries at test-friendly sizes. `block_len`
-    /// must be a positive multiple of `dim` (of 1 when `dim == 0`).
-    #[doc(hidden)]
-    pub fn from_flat_blocked(
-        n_cols: usize,
-        n_rows: usize,
-        dim: usize,
-        data: Vec<f32>,
-        block_len: usize,
-    ) -> Self {
-        assert_eq!(data.len(), n_rows * n_cols * dim, "flat payload shape mismatch");
-        assert!(
-            block_len > 0 && block_len.is_multiple_of(dim.max(1)),
-            "block_len must hold whole cells"
-        );
-        let blocks = if data.is_empty() {
-            Vec::new()
-        } else {
-            data.chunks(block_len).map(<[f32]>::to_vec).collect()
-        };
-        Self { n_cols, n_rows, dim, block_len, blocks }
+        let n_cells = n_rows * n_cols;
+        assert_eq!(data.len(), n_cells * dim, "flat payload shape mismatch");
+        let bits: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
+        let cells = (0..n_cells).map(|i| &bits[i * dim..(i + 1) * dim]);
+        Self::encode(n_cols, n_rows, dim, cells, |row, p| {
+            p.extend(row.iter().map(|&b| f32::from_bits(b)));
+        })
     }
 
     /// Builds from one vector per cell (row-major cells). Convenience for
-    /// tests and fixtures; the pipeline writes into the blocked storage
-    /// directly.
+    /// tests and fixtures.
     ///
     /// # Panics
     /// Panics if the number of vectors is not `n_rows * n_cols` or their
@@ -267,18 +243,24 @@ impl CellFeatures {
 
     /// The vector of cell `(row, col)`.
     pub fn get(&self, row: usize, col: usize) -> &[f32] {
-        let at = (row * self.n_cols + col) * self.dim;
-        let block = &self.blocks[at / self.block_len];
-        let off = at % self.block_len;
-        &block[off..off + self.dim]
+        self.pattern(self.code(row, col))
     }
 
-    /// Mutable view of cell `(row, col)`.
-    pub fn get_mut(&mut self, row: usize, col: usize) -> &mut [f32] {
-        let at = (row * self.n_cols + col) * self.dim;
-        let block = &mut self.blocks[at / self.block_len];
-        let off = at % self.block_len;
-        &mut block[off..off + self.dim]
+    /// The pattern code of cell `(row, col)`: cells share a code exactly
+    /// when their vectors are bit-identical.
+    pub fn code(&self, row: usize, col: usize) -> u32 {
+        self.codes[row * self.n_cols + col]
+    }
+
+    /// The vector a code stands for.
+    pub fn pattern(&self, code: u32) -> &[f32] {
+        let at = code as usize * self.dim;
+        &self.patterns[at..at + self.dim]
+    }
+
+    /// Number of distinct vectors; every code is below it.
+    pub fn n_patterns(&self) -> usize {
+        self.n_patterns
     }
 
     /// Number of cells (`n_rows * n_cols`).
@@ -291,32 +273,21 @@ impl CellFeatures {
         self.n_cells() == 0
     }
 
-    /// Total number of stored values (`n_cells() * dim`).
+    /// Total number of values the cells stand for (`n_cells() * dim`).
     pub fn n_values(&self) -> usize {
         self.n_cells() * self.dim
     }
 
     /// Iterates the cells row-major as `dim`-length slices.
     pub fn cells(&self) -> impl Iterator<Item = &[f32]> {
-        // `max(1)` keeps `chunks_exact` legal for dim == 0 (no cells can
-        // exist then, so the iterator is empty either way).
-        let dim = self.dim.max(1);
-        self.blocks.iter().flat_map(move |b| b.chunks_exact(dim))
-    }
-
-    /// The backing blocks in order — concatenated they reproduce the old
-    /// flat matrix exactly (snapshot encoding depends on that).
-    pub fn blocks(&self) -> impl Iterator<Item = &[f32]> {
-        self.blocks.iter().map(Vec::as_slice)
+        self.codes.iter().map(|&c| self.pattern(c))
     }
 
     /// Materializes the flat row-major matrix (one contiguous copy) —
     /// for codecs that need a single run, not for hot paths.
     pub fn to_flat(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.n_values());
-        for b in &self.blocks {
-            out.extend_from_slice(b);
-        }
+        self.cells().for_each(|v| out.extend_from_slice(v));
         out
     }
 }
@@ -327,62 +298,48 @@ impl CellFeatures {
 /// values plus per-row codes, borrowing the table's own strings), the
 /// per-value detectors — TF-histogram ratios, numeric parsing and
 /// z-tests, the spellchecker, the nullness test — run once per
-/// *distinct* value, and
-/// the flags are scattered through the codes straight into the flat
-/// [`CellFeatures`] matrix. Bit-identical to featurizing each cell
+/// *distinct* value into one flag word per value, scattered through the
+/// codes into one `u64` of flags per cell, which the dictionary-encoded
+/// [`CellFeatures`] interns. Bit-identical to featurizing each cell
 /// independently (pinned by the equivalence proptest below): interning
-/// preserves the value multiset, per-value counts, and row order, and the
+/// preserves the value multiset, per-value counts, and row order, the
 /// only order-sensitive accumulations (the Gaussian detector's f64
-/// moments) still run in row order through the codes.
+/// moments) still run in row order through the codes, and a set bit
+/// unpacks to exactly the `1.0` the reference writes.
 pub fn featurize_table(
     table: &Table,
     spell: &SpellChecker,
     config: &FeatureConfig,
 ) -> CellFeatures {
     let (n, m) = (table.n_rows(), table.n_cols());
-    let mut out = CellFeatures::zeros(m, n, FEATURE_DIM);
     let interned = InternedTable::build(table);
+    let flag = |dim: usize, on: bool| u64::from(on) << dim;
+    let mut cells = vec![0u64; n * m];
 
-    if config.outliers {
-        for (j, (col, icol)) in table.columns.iter().zip(&interned.columns).enumerate() {
+    for (j, (col, icol)) in table.columns.iter().zip(&interned.columns).enumerate() {
+        let mut words = vec![0u64; icol.n_distinct()];
+        if config.outliers {
             let hist = if config.tf_eq2_literal {
                 histogram_flags_eq2_literal_distinct(&icol.counts)
             } else {
                 histogram_flags_distinct(&icol.counts)
             };
             let gauss = gaussian_flags_distinct(&icol.distinct, &icol.codes, col.data_type());
-            for (r, &code) in icol.codes.iter().enumerate() {
-                let v = out.get_mut(r, j);
-                let (h, g) = (&hist[code as usize], &gauss[code as usize]);
+            for (w, (h, g)) in words.iter_mut().zip(hist.iter().zip(&gauss)) {
                 for k in 0..9 {
-                    v[layout::HISTOGRAM + k] = f32::from(u8::from(h[k]));
-                    v[layout::GAUSSIAN + k] = f32::from(u8::from(g[k]));
+                    *w |= flag(layout::HISTOGRAM + k, h[k]) | flag(layout::GAUSSIAN + k, g[k]);
                 }
             }
         }
-    }
-
-    if config.typos {
-        for (j, icol) in interned.columns.iter().enumerate() {
-            let flags: Vec<bool> = icol.distinct.iter().map(|v| spell.flags_cell(v)).collect();
-            for (r, &code) in icol.codes.iter().enumerate() {
-                out.get_mut(r, j)[layout::TYPO] = f32::from(u8::from(flags[code as usize]));
-            }
+        for (w, v) in words.iter_mut().zip(&icol.distinct) {
+            *w |= flag(layout::TYPO, config.typos && spell.flags_cell(v));
+            // The nullness bit belongs to no ablatable detector family
+            // (the paper's NOD/NTD/NRVD variants each keep it); only the
+            // deviation ablation drops it.
+            *w |= flag(layout::NULL_FLAG, !config.no_null_flag && matelda_table::value::is_null(v));
         }
-    }
-
-    // The nullness bit belongs to no ablatable detector family (the
-    // paper's NOD/NTD/NRVD variants each keep it); only the deviation
-    // ablation drops it.
-    if !config.no_null_flag {
-        for (j, icol) in interned.columns.iter().enumerate() {
-            let nulls: Vec<bool> =
-                icol.distinct.iter().map(|v| matelda_table::value::is_null(v)).collect();
-            for (r, &code) in icol.codes.iter().enumerate() {
-                if nulls[code as usize] {
-                    out.get_mut(r, j)[layout::NULL_FLAG] = 1.0;
-                }
-            }
+        for (r, &code) in icol.codes.iter().enumerate() {
+            cells[r * m + j] = words[code as usize];
         }
     }
 
@@ -391,17 +348,19 @@ pub fn featurize_table(
             rule_signals_with(table, config.rule_g3_threshold, config.fd_whole_group);
         for j in 0..m {
             for r in 0..n {
-                let v = out.get_mut(r, j);
+                let w = &mut cells[r * m + j];
                 for k in 0..3 {
-                    v[layout::STRUCTURAL_FD + k] = f32::from(u8::from(structural[j][r][k]));
+                    *w |= flag(layout::STRUCTURAL_FD + k, structural[j][r][k]);
                 }
-                v[layout::NV_LHS + nv_lhs_bucket[j][r]] = 1.0;
-                v[layout::NV_RHS + nv_rhs_bucket[j][r]] = 1.0;
+                *w |= flag(layout::NV_LHS + nv_lhs_bucket[j][r], true);
+                *w |= flag(layout::NV_RHS + nv_rhs_bucket[j][r], true);
             }
         }
     }
 
-    out
+    CellFeatures::encode(m, n, FEATURE_DIM, cells.into_iter(), |w, p| {
+        p.extend((0..FEATURE_DIM).map(|d| f32::from(u8::from((w >> d) & 1 == 1))));
+    })
 }
 
 #[cfg(test)]
@@ -515,29 +474,33 @@ mod tests {
     }
 
     #[test]
-    fn blocked_store_is_equivalent_to_flat_at_every_block_length() {
-        // 5 cells of dim 3 across block lengths that split the matrix at
-        // every cell boundary, including mid-row and one-cell blocks.
-        let dim = 3;
-        let flat: Vec<f32> = (0..5 * dim).map(|i| i as f32).collect();
-        let reference = CellFeatures::from_flat(5, 1, dim, flat.clone());
-        for cells_per_block in 1..=6 {
-            let f = CellFeatures::from_flat_blocked(5, 1, dim, flat.clone(), cells_per_block * dim);
-            for col in 0..5 {
-                assert_eq!(f.get(0, col), reference.get(0, col), "block {cells_per_block}");
-            }
-            assert_eq!(
-                f.cells().collect::<Vec<_>>(),
-                reference.cells().collect::<Vec<_>>(),
-                "block {cells_per_block}"
-            );
-            assert_eq!(f.to_flat(), flat, "block {cells_per_block}");
-            assert_eq!(
-                f.blocks().flatten().copied().collect::<Vec<f32>>(),
-                flat,
-                "block {cells_per_block}"
-            );
+    fn dictionary_store_keeps_each_distinct_vector_once() {
+        // Six cells, four distinct vectors by bits: +0.0 and -0.0 differ,
+        // and so do two NaNs with different payloads.
+        let nan_a = f32::from_bits(0x7FC0_1234);
+        let nan_b = f32::from_bits(0x7FC0_0001);
+        let cells = [[1.0, 0.0], [1.0, -0.0], [1.0, 0.0], [nan_a, 1.0], [nan_b, 1.0], [nan_a, 1.0]];
+        let flat: Vec<f32> = cells.iter().flatten().copied().collect();
+        let f = CellFeatures::from_flat(3, 2, 2, flat.clone());
+        assert_eq!(f.n_patterns(), 4);
+        let codes: Vec<u32> =
+            (0..2).flat_map(|r| (0..3).map(move |c| (r, c))).map(|(r, c)| f.code(r, c)).collect();
+        assert_eq!(codes, vec![0, 1, 0, 2, 3, 2], "first-seen order, shared by equal bits");
+        for (i, cell) in cells.iter().enumerate() {
+            let got: Vec<u32> = f.get(i / 3, i % 3).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = cell.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "cell {i}");
         }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&f.to_flat()), bits(&flat));
+        // Featurized tables share codes the same way: the demo table's 12
+        // cells hold fewer distinct flag vectors, and re-encoding the flat
+        // matrix reproduces the codes.
+        let t = featurize_table(&demo_table(), &spell(), &FeatureConfig::default());
+        assert!(t.n_patterns() < t.n_cells());
+        let again = CellFeatures::from_flat(t.n_cols, t.n_rows, t.dim, t.to_flat());
+        assert_eq!(again.codes, t.codes);
+        assert_eq!(bits(&again.patterns), bits(&t.patterns));
     }
 
     #[test]
@@ -663,6 +626,47 @@ mod tests {
             FeatureConfig { no_null_flag: true, ..FeatureConfig::default() },
         ] {
             assert_matches_reference(&demo_table(), &config);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        // The dictionary store is lossless on any f32 bits: cells drawn
+        // from a small palette of arbitrary bit patterns (so NaN
+        // payloads, infinities and -0.0 all occur, and repeat) come back
+        // from `to_flat` bit for bit, every code is below `n_patterns`,
+        // and no two patterns share bits.
+        #[test]
+        fn from_flat_to_flat_is_bit_identical_and_codes_are_in_range(
+            palette in proptest::collection::vec(
+                proptest::collection::vec(0u64..u64::MAX, 3),
+                1..5,
+            ),
+            picks in proptest::collection::vec(0usize..8, 0..24),
+            n_cols in 1usize..4,
+        ) {
+            let palette: Vec<Vec<u32>> = palette
+                .iter()
+                .map(|v| v.iter().map(|&b| if b % 5 == 0 { 0x8000_0000 } else { b as u32 }).collect())
+                .collect();
+            let n_rows = picks.len() / n_cols;
+            let bits: Vec<u32> = picks[..n_rows * n_cols]
+                .iter()
+                .flat_map(|&p| palette[p % palette.len()].iter().copied())
+                .collect();
+            let flat = bits.iter().map(|&b| f32::from_bits(b)).collect();
+            let f = CellFeatures::from_flat(n_cols, n_rows, 3, flat);
+            let back: Vec<u32> = f.to_flat().iter().map(|v| v.to_bits()).collect();
+            proptest::prop_assert_eq!(back, bits);
+            proptest::prop_assert!(f.n_patterns() <= palette.len().min(f.n_cells()));
+            proptest::prop_assert!(f.codes.iter().all(|&c| (c as usize) < f.n_patterns()));
+            let mut keys: Vec<Vec<u32>> = (0..f.n_patterns() as u32)
+                .map(|c| f.pattern(c).iter().map(|v| v.to_bits()).collect())
+                .collect();
+            keys.sort();
+            keys.dedup();
+            proptest::prop_assert_eq!(keys.len(), f.n_patterns());
         }
     }
 

@@ -25,6 +25,10 @@
 //! ever depends on an `Obs`, which is what keeps the determinism and
 //! durability contracts intact with tracing on (DESIGN.md §7).
 //!
+//! [`ProcMemory`] reads the process's resident set and its peak from
+//! `/proc/self/status` (Linux only); the stage driver records it per
+//! stage when tracing is on.
+//!
 //! Exports: [`Obs::events_jsonl`] (one JSON object per line),
 //! [`Obs::metrics_json`], and [`Obs::trace_json`] — the latter in the
 //! `chrome://tracing` / Perfetto trace-event format (`ph:"X"` complete
@@ -58,6 +62,27 @@ impl Stopwatch {
 impl Default for Stopwatch {
     fn default() -> Self {
         Stopwatch::start()
+    }
+}
+
+/// This process's resident memory, read from `/proc/self/status`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProcMemory {
+    /// `VmRSS`: resident bytes now.
+    pub rss_bytes: u64,
+    /// `VmHWM`: the peak resident bytes so far (it never decreases).
+    pub hwm_bytes: u64,
+}
+
+impl ProcMemory {
+    /// Reads both values; `None` off Linux or if the file is unreadable.
+    pub fn read() -> Option<Self> {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let kib = |key: &str| -> Option<u64> {
+            let line = status.lines().find_map(|l| l.strip_prefix(key))?;
+            line.trim().trim_end_matches("kB").trim().parse::<u64>().ok()?.checked_mul(1024)
+        };
+        Some(ProcMemory { rss_bytes: kib("VmRSS:")?, hwm_bytes: kib("VmHWM:")? })
     }
 }
 

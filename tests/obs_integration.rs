@@ -114,6 +114,34 @@ fn trace_covers_the_run_and_every_stage_and_agrees_with_the_report() {
     }
 }
 
+/// Per-stage memory (DESIGN.md §7): a traced run records each stage's
+/// resident set at close, its peak so far and its change over the stage.
+/// The peak is the process's high-water mark, so it never falls from one
+/// stage to the next.
+#[test]
+#[cfg(target_os = "linux")]
+fn traced_stages_record_their_resident_memory() {
+    let gl = lake();
+    let obs = Obs::enabled();
+    let mut oracle = Oracle::new(&gl.errors);
+    Matelda::default().with_obs(obs.clone()).detect(&gl.dirty, &mut oracle, 20);
+    let mut peak = 0.0;
+    for stage in STAGES {
+        let gauge = |what: &str| obs.gauge(&format!("stage.{what}.{stage}"));
+        let (rss, hwm) = (gauge("rss_bytes").expect("rss"), gauge("hwm_bytes").expect("hwm"));
+        assert!(gauge("rss_delta_bytes").is_some(), "{stage}: no rss delta");
+        assert!(rss > 0.0 && rss <= hwm, "{stage}: rss {rss} above peak {hwm}");
+        assert!(hwm >= peak, "{stage}: peak fell from {peak} to {hwm}");
+        peak = hwm;
+    }
+    let stage_spans = obs.spans().into_iter().filter(|s| s.cat == "stage");
+    for span in stage_spans {
+        for key in ["rss_open_bytes", "rss_bytes", "hwm_bytes", "rss_delta_bytes"] {
+            assert!(span.args.iter().any(|(k, _)| k == key), "span {} lacks {key}", span.name);
+        }
+    }
+}
+
 #[test]
 fn traced_resume_reads_untraced_checkpoints_bit_identically() {
     let gl = lake();

@@ -377,8 +377,9 @@ proptest! {
         iterations in 0usize..40,
         seed in 0u64..1000,
     ) {
+        use matelda::cluster::MiniBatchKMeansConfig;
         use matelda::core::quality_fold::quality_folds;
-        use matelda::core::Fold;
+        use matelda::core::{Fold, Obs};
         use matelda::detect::CellFeatures;
 
         let table = Table::new(
@@ -402,7 +403,8 @@ proptest! {
         let features = vec![CellFeatures::from_vectors(cols, rows, &vectors)];
         let fold = Fold { columns: (0..cols).map(|c| (0, c)).collect() };
 
-        let qf = quality_folds(&lake, &fold, &features, k, batch_size, iterations, seed);
+        let kmeans = MiniBatchKMeansConfig { k, batch_size, iterations, seed };
+        let qf = quality_folds(&lake, &fold, &features, kmeans, &Obs::disabled());
         prop_assert!(!qf.is_empty());
         prop_assert!(qf.len() <= k.max(1));
         prop_assert!(qf.iter().all(|q| !q.cells.is_empty()), "no empty folds survive");
