@@ -1,14 +1,17 @@
 //! HDBSCAN* — hierarchical density-based clustering (Campello, Moulavi,
 //! Zimek, Sander 2015), implemented in full:
 //!
-//! 1. core distances (k-NN with `k = min_samples`, self included),
-//! 2. mutual-reachability distances,
-//! 3. minimum spanning tree over the mutual-reachability graph (Prim,
+//! 1. pairwise distances into one dense n×n matrix, one distance call
+//!    per ordered pair,
+//! 2. core distances (k-NN with `k = min_samples`, self included), read
+//!    from the matrix's rows,
+//! 3. mutual-reachability distances, written over the same matrix,
+//! 4. minimum spanning tree over the mutual-reachability graph (Prim,
 //!    dense O(n²) — the paper clusters *tables*, so n is at most a few
 //!    thousand),
-//! 4. single-linkage dendrogram,
-//! 5. condensed tree with `min_cluster_size`,
-//! 6. excess-of-mass (EOM) cluster extraction by stability.
+//! 5. single-linkage dendrogram,
+//! 6. condensed tree with `min_cluster_size`,
+//! 7. excess-of-mass (EOM) cluster extraction by stability.
 //!
 //! The paper's domain folding runs this with `min_cluster_size = 2`
 //! (§4.1.3); outlying tables come back as [`NOISE`] and are promoted to
@@ -18,6 +21,7 @@ use crate::budget::{check_budget, dense_matrix_bytes, ScaleError};
 use crate::linkage::{single_linkage, Merge};
 use crate::matrix::{pairwise_euclidean_with, PointMatrix};
 use matelda_exec::Executor;
+use std::sync::Mutex;
 
 /// Label for points not assigned to any cluster.
 pub const NOISE: isize = -1;
@@ -128,26 +132,11 @@ impl Hdbscan {
         let mcs = self.config.min_cluster_size.max(2);
         let min_samples = self.config.min_samples.unwrap_or(mcs).max(1).min(n);
 
-        // 1. Core distances: distance to the min_samples-th nearest
-        // neighbor, counting the point itself at distance 0.
-        let core = core_distances(n, &dist, min_samples, exec);
-
-        // 2+3. MST over mutual reachability. The n×n reachability matrix
-        // is materialized in parallel row blocks (each cell is
-        // `max(dist, core[a], core[b])` — exact, order-free), then Prim
-        // runs over cheap lookups.
-        let mreach = mutual_reachability(n, &dist, &core, exec);
-        let mut edges = prim_mst(n, |a, b| mreach[a * n + b]);
-        edges.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite distances"));
-
-        // 4. Single-linkage dendrogram.
-        let merges = single_linkage(n, &edges);
-
-        // 5. Condensed tree.
-        let condensed = condense(n, &merges, mcs);
-
-        // 6. Stability + EOM extraction.
-        extract_eom(n, &condensed, self.config.allow_single_cluster)
+        // 1-3. Distances, core distances and mutual reachability in one
+        // n×n matrix, built in parallel row blocks with one `dist` call
+        // per ordered pair.
+        let mreach = mutual_reachability(n, &dist, min_samples, exec);
+        labels_from_mutual_reachability(n, &mreach, mcs, self.config.allow_single_cluster)
     }
 
     /// Clusters points under Euclidean distance.
@@ -196,56 +185,83 @@ impl Hdbscan {
 /// order and match the serial loop bit for bit.
 const HDBSCAN_ROW_BLOCK: usize = 32;
 
-fn core_distances(
+/// The mutual-reachability matrix `max(dist(a,b), core[a], core[b])`
+/// with a zero diagonal, calling `dist` once per ordered pair.
+///
+/// The first pass writes each row's distances into the matrix and reads
+/// the row's core distance — its `k`-th smallest value, the point itself
+/// counted at distance 0 — from a copy of the row. The second pass, once
+/// every core distance is known, turns each off-diagonal cell into
+/// mutual reachability in place. Both passes run over row blocks on
+/// `exec`. `dist` need not be symmetric, so every ordered pair is its own
+/// call. Every cell is a pure function of its row's values and the core
+/// distances (`max` over identical inputs is exact), so the matrix — and
+/// everything downstream — is the same at every thread count.
+fn mutual_reachability(
     n: usize,
     dist: &(impl Fn(usize, usize) -> f64 + Sync),
     k: usize,
     exec: &Executor,
 ) -> Vec<f64> {
-    let n_blocks = n.div_ceil(HDBSCAN_ROW_BLOCK);
-    let blocks = exec.map_n(n_blocks, |b| {
-        let lo = b * HDBSCAN_ROW_BLOCK;
-        let hi = (lo + HDBSCAN_ROW_BLOCK).min(n);
-        let mut out = Vec::with_capacity(hi - lo);
-        let mut row = vec![0.0f64; n];
-        for i in lo..hi {
-            for (j, r) in row.iter_mut().enumerate() {
-                *r = if i == j { 0.0 } else { dist(i, j) };
+    let mut matrix = vec![0.0f64; n * n];
+    // `map_n` shares one closure among its tasks; a lock per row block,
+    // never contended, hands each task its own rows to write.
+    let blocks: Vec<Mutex<&mut [f64]>> =
+        matrix.chunks_mut(HDBSCAN_ROW_BLOCK * n).map(Mutex::new).collect();
+    let lock = |b: usize| blocks[b].lock().expect("unpoisoned: a panic in `dist` ends the fit");
+    let core = exec
+        .map_n(blocks.len(), |b| {
+            let mut rows = lock(b);
+            let mut sorted = Vec::with_capacity(n);
+            let mut core = Vec::with_capacity(HDBSCAN_ROW_BLOCK);
+            for (r, row) in rows.chunks_exact_mut(n).enumerate() {
+                let i = b * HDBSCAN_ROW_BLOCK + r;
+                for (j, d) in row.iter_mut().enumerate() {
+                    *d = if i == j { 0.0 } else { dist(i, j) };
+                }
+                sorted.clear();
+                sorted.extend_from_slice(row);
+                sorted.select_nth_unstable_by(k - 1, |a, b| a.partial_cmp(b).expect("finite"));
+                core.push(sorted[k - 1]);
             }
-            // k-th smallest including self (k >= 1).
-            let kth = k - 1;
-            row.select_nth_unstable_by(kth, |a, b| a.partial_cmp(b).expect("finite"));
-            out.push(row[kth]);
+            core
+        })
+        .concat();
+    exec.map_n(blocks.len(), |b| {
+        let mut rows = lock(b);
+        for (r, row) in rows.chunks_exact_mut(n).enumerate() {
+            let i = b * HDBSCAN_ROW_BLOCK + r;
+            for (j, d) in row.iter_mut().enumerate() {
+                if i != j {
+                    *d = d.max(core[i]).max(core[j]);
+                }
+            }
         }
-        out
     });
-    blocks.concat()
+    drop(blocks);
+    matrix
 }
 
-/// Materializes the mutual-reachability matrix `max(dist(a,b), core[a],
-/// core[b])` in parallel row blocks. `max` over identical inputs is
-/// exact, so the matrix (and everything downstream) is thread-count
-/// independent.
-fn mutual_reachability(
+/// Steps 4-7 of the fit over the `n × n` mutual-reachability matrix
+/// (`n >= 2`): one label per point, [`NOISE`] for the unclustered.
+fn labels_from_mutual_reachability(
     n: usize,
-    dist: &(impl Fn(usize, usize) -> f64 + Sync),
-    core: &[f64],
-    exec: &Executor,
-) -> Vec<f64> {
-    let n_blocks = n.div_ceil(HDBSCAN_ROW_BLOCK);
-    let blocks = exec.map_n(n_blocks, |b| {
-        let lo = b * HDBSCAN_ROW_BLOCK;
-        let hi = (lo + HDBSCAN_ROW_BLOCK).min(n);
-        let mut rows = vec![0.0f64; (hi - lo) * n];
-        for i in lo..hi {
-            let row = &mut rows[(i - lo) * n..(i - lo + 1) * n];
-            for (j, r) in row.iter_mut().enumerate() {
-                *r = if i == j { 0.0 } else { dist(i, j).max(core[i]).max(core[j]) };
-            }
-        }
-        rows
-    });
-    blocks.concat()
+    mreach: &[f64],
+    mcs: usize,
+    allow_single_cluster: bool,
+) -> Vec<isize> {
+    // 4. MST: Prim runs over cheap lookups.
+    let mut edges = prim_mst(n, |a, b| mreach[a * n + b]);
+    edges.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite distances"));
+
+    // 5. Single-linkage dendrogram.
+    let merges = single_linkage(n, &edges);
+
+    // 6. Condensed tree.
+    let condensed = condense(n, &merges, mcs);
+
+    // 7. Stability + EOM extraction.
+    extract_eom(n, &condensed, allow_single_cluster)
 }
 
 /// Dense Prim's algorithm; returns the n-1 MST edges.
@@ -598,6 +614,123 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen, vec![0, 1]);
+    }
+
+    /// The two distance passes the fit used to make, kept verbatim as the
+    /// reference: core distances with one `dist` call per ordered pair,
+    /// then the mutual-reachability matrix with another.
+    fn two_pass_core_distances(
+        n: usize,
+        dist: &(impl Fn(usize, usize) -> f64 + Sync),
+        k: usize,
+        exec: &Executor,
+    ) -> Vec<f64> {
+        let n_blocks = n.div_ceil(HDBSCAN_ROW_BLOCK);
+        let blocks = exec.map_n(n_blocks, |b| {
+            let lo = b * HDBSCAN_ROW_BLOCK;
+            let hi = (lo + HDBSCAN_ROW_BLOCK).min(n);
+            let mut out = Vec::with_capacity(hi - lo);
+            let mut row = vec![0.0f64; n];
+            for i in lo..hi {
+                for (j, r) in row.iter_mut().enumerate() {
+                    *r = if i == j { 0.0 } else { dist(i, j) };
+                }
+                // k-th smallest including self (k >= 1).
+                let kth = k - 1;
+                row.select_nth_unstable_by(kth, |a, b| a.partial_cmp(b).expect("finite"));
+                out.push(row[kth]);
+            }
+            out
+        });
+        blocks.concat()
+    }
+
+    fn two_pass_mutual_reachability(
+        n: usize,
+        dist: &(impl Fn(usize, usize) -> f64 + Sync),
+        core: &[f64],
+        exec: &Executor,
+    ) -> Vec<f64> {
+        let n_blocks = n.div_ceil(HDBSCAN_ROW_BLOCK);
+        let blocks = exec.map_n(n_blocks, |b| {
+            let lo = b * HDBSCAN_ROW_BLOCK;
+            let hi = (lo + HDBSCAN_ROW_BLOCK).min(n);
+            let mut rows = vec![0.0f64; (hi - lo) * n];
+            for i in lo..hi {
+                let row = &mut rows[(i - lo) * n..(i - lo + 1) * n];
+                for (j, r) in row.iter_mut().enumerate() {
+                    *r = if i == j { 0.0 } else { dist(i, j).max(core[i]).max(core[j]) };
+                }
+            }
+            rows
+        });
+        blocks.concat()
+    }
+
+    #[test]
+    fn the_fit_calls_dist_once_per_ordered_pair() {
+        let n = 70;
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let dist = |a: usize, b: usize| {
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            (a as f64 - b as f64).abs()
+        };
+        for threads in [1, 3] {
+            calls.store(0, std::sync::atomic::Ordering::Relaxed);
+            let _ = Hdbscan::default().fit_with_exec(n, dist, &Executor::new(threads));
+            assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), n * (n - 1));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        // The one-matrix construction is pinned to the two-pass reference
+        // by the mutual-reachability matrix's bits and by the labels, at
+        // 1 and 3 threads. Distances come from a random table: ties,
+        // 0.0 and -0.0 among them, and about half the cases read it
+        // asymmetrically (`dist(a, b) != dist(b, a)`).
+        #[test]
+        fn one_matrix_fit_equals_the_two_pass_reference(
+            n in 2usize..75,
+            raw in proptest::collection::vec((0u64..8, 0.0f64..10.0), 75 * 75),
+            symmetric in 0usize..2,
+            config in (2usize..5, 0usize..6, 0usize..2),
+        ) {
+            let value = |(s, v): (u64, f64)| match s {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1.0,
+                3 => 1.0 / 3.0,
+                _ => v,
+            };
+            let table: Vec<f64> = raw.iter().copied().map(value).collect();
+            let dist = |a: usize, b: usize| {
+                let (a, b) = if symmetric == 1 { (a.min(b), a.max(b)) } else { (a, b) };
+                table[a * n + b]
+            };
+            let (mcs, min_samples, allow_single_cluster) = config;
+            let cfg = HdbscanConfig {
+                min_cluster_size: mcs,
+                min_samples: (min_samples > 0).then_some(min_samples),
+                allow_single_cluster: allow_single_cluster == 1,
+            };
+            let k = cfg.min_samples.unwrap_or(mcs).max(1).min(n);
+            let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            for threads in [1, 3] {
+                let exec = Executor::new(threads);
+                let core = two_pass_core_distances(n, &dist, k, &exec);
+                let want = two_pass_mutual_reachability(n, &dist, &core, &exec);
+                let got = mutual_reachability(n, &dist, k, &exec);
+                proptest::prop_assert_eq!(bits(&got), bits(&want), "threads {}", threads);
+                proptest::prop_assert_eq!(
+                    Hdbscan::new(cfg.clone()).fit_with_exec(n, dist, &exec),
+                    labels_from_mutual_reachability(n, &want, mcs, cfg.allow_single_cluster),
+                    "threads {}",
+                    threads
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! over the hierarchical clustering of prior work for efficiency (§3.3.2)
 //! and sets the batch size to `256 × cores` (§4.1.3).
 
-use crate::matrix::{nearest_centers_blocked, DistinctRows, PointMatrix};
+use crate::matrix::{nearest_centers, DistinctRows, PointMatrix};
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
@@ -90,10 +90,12 @@ impl MiniBatchKMeans {
     /// sequence (seeding, k-means++ picks, per-iteration batch sampling),
     /// the clamp of `k` to the number of *points*, the k-means++ sums
     /// and weighted scans over the points in point order, and the
-    /// mini-batch updates are all unchanged. Only the k-means++ distances
-    /// and the final assignment — pure functions of a row's bits and the
-    /// centers — are computed once per distinct row and shared by its
-    /// points.
+    /// mini-batch updates are all unchanged. Only nearest-center work —
+    /// a pure function of a row's bits and the centers — is done once
+    /// per distinct row and shared by its points: the k-means++
+    /// distances, the final assignment, and each mini-batch's cache of
+    /// nearest centers (computed once per distinct row the batch draws;
+    /// the centers do not move until the whole batch is cached).
     ///
     /// # Panics
     /// Panics if a key is not a row of `distinct`.
@@ -110,27 +112,44 @@ impl MiniBatchKMeans {
         let mut counts = vec![0usize; k];
         let batch = self.config.batch_size.min(n).max(1);
         let mut batch_rows: Vec<usize> = Vec::with_capacity(batch);
+        // `slot[u]` is row u's index in `batch_rows` while the current
+        // batch holds it, else `NOT_DRAWN`; reset after every batch.
+        let mut slot = vec![NOT_DRAWN; distinct.n()];
         for _ in 0..self.config.iterations {
             let idx = sample(&mut rng, n, batch);
             batch_rows.clear();
-            batch_rows.extend(idx.iter().map(|i| keys[i] as usize));
+            for i in idx.iter() {
+                let u = keys[i] as usize;
+                if slot[u] == NOT_DRAWN {
+                    slot[u] = batch_rows.len();
+                    batch_rows.push(u);
+                }
+            }
             // Cache nearest centers for the whole batch first (the paper's
             // algorithm caches before updating).
-            let nearest = nearest_centers_blocked(distinct, &batch_rows, &centers);
-            for (&row, &c) in batch_rows.iter().zip(&nearest) {
+            let nearest = nearest_centers(distinct, &batch_rows, &centers);
+            for i in idx.iter() {
+                let u = keys[i] as usize;
+                let c = nearest[slot[u]];
                 counts[c] += 1;
                 let eta = 1.0 / counts[c] as f32;
-                for (cv, pv) in centers[c].iter_mut().zip(distinct.row(row)) {
+                for (cv, pv) in centers[c].iter_mut().zip(distinct.row(u)) {
                     *cv += eta * (*pv - *cv);
                 }
+            }
+            for &u in &batch_rows {
+                slot[u] = NOT_DRAWN;
             }
         }
 
         let all_rows: Vec<usize> = (0..distinct.n()).collect();
-        let nearest = nearest_centers_blocked(distinct, &all_rows, &centers);
+        let nearest = nearest_centers(distinct, &all_rows, &centers);
         KMeansFit { centers, assignments: keys.iter().map(|&u| nearest[u as usize]).collect() }
     }
 }
+
+/// The mark of a distinct row the current mini-batch has not drawn.
+const NOT_DRAWN: usize = usize::MAX;
 
 /// Index of the nearest center by squared Euclidean distance; ties go to
 /// the lowest index (determinism).
@@ -446,7 +465,9 @@ mod tests {
         // sum changes bits), and about half the cases plant one +inf or
         // NaN-with-payload value. The keyed core gets the prototypes as
         // they are, duplicates and unused rows included: its result may
-        // depend only on each point's row bits.
+        // depend only on each point's row bits. In about a third of the
+        // cases the batch size is at least the point count, so every
+        // batch draws every point and each distinct row many times.
         #[test]
         fn keyed_fit_equals_naive_fit_under_heavy_duplication(
             protos in proptest::collection::vec(
@@ -457,9 +478,10 @@ mod tests {
             picks in proptest::collection::vec(0usize..6, 1..300),
             k in 1usize..8,
             seed in 0u64..1000,
-            batch in 1usize..64,
+            batch in (0usize..3, 1usize..64),
             iterations in 0usize..20,
         ) {
+            let batch = if batch.0 == 0 { picks.len() + batch.1 - 1 } else { batch.1 };
             const MIXED: [f32; 8] = [0.0, 1.0, -0.0, 0.1, 0.7, 1.3, 1.0 / 3.0, 2.9];
             let mut protos: Vec<Vec<f32>> = protos
                 .iter()

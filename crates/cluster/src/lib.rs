@@ -2,10 +2,11 @@
 //!
 //! The clustering substrate for MaTElDa, implemented from scratch:
 //!
-//! * [`hdbscan`] — full HDBSCAN* (Campello et al. 2015): core distances →
-//!   mutual reachability → MST → single-linkage dendrogram → condensed tree
-//!   → excess-of-mass cluster extraction. Used for **domain-based cell
-//!   folding** (paper §3.2, `min_cluster_size = 2`).
+//! * [`hdbscan`] — full HDBSCAN* (Campello et al. 2015): one pairwise
+//!   distance matrix → core distances → mutual reachability (in place) →
+//!   MST → single-linkage dendrogram → condensed tree → excess-of-mass
+//!   cluster extraction. Used for **domain-based cell folding** (paper
+//!   §3.2, `min_cluster_size = 2`).
 //! * [`kmeans`] — Mini-batch K-Means (Sculley 2010) with k-means++
 //!   seeding and per-center learning rates. Used for **quality-based cell
 //!   folding** (paper §3.3.2 / Alg. 1 line 13).
@@ -15,9 +16,9 @@
 //! * [`linkage`] — the shared single-linkage dendrogram machinery
 //!   (union-find, merge list).
 //! * [`matrix`] — the contiguous row-major [`PointMatrix`], its
-//!   bit-keyed [`DistinctRows`] form, and the cache-blocked distance
-//!   kernels shared by k-means assignment and HDBSCAN's pairwise
-//!   construction (bit-identical to the naive paths).
+//!   bit-keyed [`DistinctRows`] form, the 8-lane nearest-center kernel
+//!   of k-means and HDBSCAN's pairwise Euclidean construction
+//!   (bit-identical to the naive paths).
 //!
 //! All entry points are deterministic given their seed.
 

@@ -1,26 +1,25 @@
-//! Contiguous row-major feature matrices and the cache-blocked distance
-//! kernels shared by mini-batch k-means and HDBSCAN.
+//! Contiguous row-major feature matrices and the exact distance kernels
+//! shared by mini-batch k-means and HDBSCAN.
 //!
 //! The kernels here are *exactly* equivalent to their naive counterparts
 //! ([`crate::kmeans::sq_dist`] / [`crate::kmeans::nearest_center`] and the
 //! per-pair Euclidean closure HDBSCAN used to pass to `fit_with`): each
 //! point×center (or point×point) distance is accumulated dimension by
 //! dimension in the same order with the same float types, and ties resolve
-//! to the lowest index via the same strict `<` comparison. Blocking only
-//! changes *which pair* is computed next, never the arithmetic of a pair —
-//! so results are bit-identical, which the proptests in this module pin.
-//! (The ‖x‖² + ‖c‖² − 2x·c expansion was deliberately rejected: it changes
-//! f32 rounding and would break the exact-equivalence contract; see
-//! DESIGN.md "Performance contract".)
+//! to the lowest index via the same strict `<` comparison.
+//! [`nearest_centers`] runs eight such sums side by side, one per center,
+//! which changes *how many pairs* are in flight, never the arithmetic of a
+//! pair — so results are bit-identical, which the proptests in this module
+//! pin. (The ‖x‖² + ‖c‖² − 2x·c expansion was deliberately rejected: it
+//! changes f32 rounding and would break the exact-equivalence contract;
+//! see DESIGN.md "Performance contract".)
 
 use crate::budget::{check_budget, dense_matrix_bytes, ScaleError};
-use crate::kmeans::sq_dist;
 use std::collections::HashMap;
 
-/// Rows of points per cache block in [`nearest_centers_blocked`].
-const ROW_BLOCK: usize = 64;
-/// Centers per cache block in [`nearest_centers_blocked`].
-const CENTER_BLOCK: usize = 8;
+/// Centers per pass of [`nearest_centers`]: one f32 accumulator each,
+/// side by side, which the x86-64 baseline runs as two 4-wide vectors.
+const LANES: usize = 8;
 
 /// A dense row-major point matrix: `n` points of `dim` f32 features in one
 /// contiguous allocation.
@@ -124,43 +123,55 @@ impl DistinctRows {
 
 /// For each listed row, the index of its nearest center by squared
 /// Euclidean distance (ties to the lowest center index) — bit-identical
-/// to calling [`crate::kmeans::nearest_center`] per row, but iterating in
-/// cache blocks over the contiguous matrix and a flattened center array.
-pub fn nearest_centers_blocked(
-    points: &PointMatrix,
-    rows: &[usize],
-    centers: &[Vec<f32>],
-) -> Vec<usize> {
+/// to calling [`crate::kmeans::nearest_center`] per row.
+///
+/// The centers are stored dimension-major in blocks of eight, so one
+/// pass over a row's dimensions advances eight sums at once. Each lane
+/// adds `(x − c)²` over the dimensions in order, starting from `-0.0` as
+/// `Iterator::sum` does, which is `sq_dist`'s arithmetic for that pair
+/// (Rust never contracts the multiply and add into an FMA, so vectorized
+/// lanes round as the scalar loop does). The lanes are then scanned in
+/// ascending center order with strict `<`: ties go to the lowest index,
+/// a NaN distance never wins, and a row whose distances are all NaN gets
+/// center 0.
+pub fn nearest_centers(points: &PointMatrix, rows: &[usize], centers: &[Vec<f32>]) -> Vec<usize> {
     let dim = points.dim();
     let k = centers.len();
-    // Flatten centers once so the inner loop reads two contiguous slices.
-    let mut flat: Vec<f32> = Vec::with_capacity(k * dim);
-    for c in centers {
-        assert_eq!(c.len(), dim, "nearest_centers_blocked: center dimension mismatch");
-        flat.extend_from_slice(c);
+    let n_blocks = k.div_ceil(LANES);
+    // Block b is `lanes[b * dim..(b + 1) * dim]`: dimension d of centers
+    // LANES*b.. side by side. Lanes past `k` in the last block are
+    // padding and never scanned.
+    let mut lanes = vec![[0.0f32; LANES]; n_blocks * dim];
+    for (c, center) in centers.iter().enumerate() {
+        assert_eq!(center.len(), dim, "nearest_centers: center dimension mismatch");
+        for (d, &v) in center.iter().enumerate() {
+            lanes[(c / LANES) * dim + d][c % LANES] = v;
+        }
     }
 
-    let mut best = vec![0usize; rows.len()];
-    let mut best_d = vec![f32::INFINITY; rows.len()];
-    for row_block in (0..rows.len()).step_by(ROW_BLOCK) {
-        let row_end = (row_block + ROW_BLOCK).min(rows.len());
-        // Ascending center order across and within blocks keeps the
-        // strict `<` tie rule identical to the per-point reference.
-        for center_block in (0..k).step_by(CENTER_BLOCK) {
-            let center_end = (center_block + CENTER_BLOCK).min(k);
-            for r in row_block..row_end {
-                let p = points.row(rows[r]);
-                for c in center_block..center_end {
-                    let d = sq_dist(p, &flat[c * dim..(c + 1) * dim]);
-                    if d < best_d[r] {
-                        best_d[r] = d;
-                        best[r] = c;
+    rows.iter()
+        .map(|&r| {
+            let x = points.row(r);
+            let mut best = 0usize;
+            let mut best_d = f32::INFINITY;
+            for b in 0..n_blocks {
+                let mut acc = [-0.0f32; LANES];
+                for (&xd, cd) in x.iter().zip(&lanes[b * dim..(b + 1) * dim]) {
+                    for (a, &c) in acc.iter_mut().zip(cd) {
+                        *a += (xd - c) * (xd - c);
+                    }
+                }
+                let live = (k - b * LANES).min(LANES);
+                for (l, &d) in acc[..live].iter().enumerate() {
+                    if d < best_d {
+                        best_d = d;
+                        best = b * LANES + l;
                     }
                 }
             }
-        }
-    }
-    best
+            best
+        })
+        .collect()
 }
 
 /// Full symmetric pairwise Euclidean distance matrix (`n × n`, row-major).
@@ -255,6 +266,7 @@ pub fn euclidean(a: &[f32], b: &[f32]) -> f64 {
 mod tests {
     use super::*;
     use crate::kmeans::nearest_center;
+    use proptest::prelude::Strategy;
 
     #[test]
     fn parallel_pairwise_is_bit_identical_to_serial() {
@@ -294,7 +306,20 @@ mod tests {
         let m = PointMatrix::from_rows(&[vec![5.0f32, 5.0], vec![-1.0, 2.0]]);
         let centers = vec![vec![0.0f32, 0.0], vec![0.0, 0.0]];
         let rows: Vec<usize> = (0..m.n()).collect();
-        assert_eq!(nearest_centers_blocked(&m, &rows, &centers), vec![0, 0]);
+        assert_eq!(nearest_centers(&m, &rows, &centers), vec![0, 0]);
+
+        // A tie that only in-order summation makes: from the origin, `a`
+        // sums 1 + 2^-24 + 2^-24 = 1 (each half-ulp rounds to even), while
+        // any other order reaches 1 + 2^-23 and loses to `b` at exactly 1.
+        // `a` sits in the last lane of the first block and `b` opens the
+        // second, so the tie also spans the block boundary.
+        let a = vec![1.0f32, 2f32.powi(-12), 2f32.powi(-12)];
+        let b = vec![1.0f32, 0.0, 0.0];
+        let origin = PointMatrix::from_rows(&[vec![0.0f32; 3]]);
+        let mut centers = vec![vec![9.0f32; 3]; 7];
+        centers.extend([a, b]);
+        assert_eq!(nearest_center(origin.row(0), &centers), 7);
+        assert_eq!(nearest_centers(&origin, &[0], &centers), vec![7]);
     }
 
     #[test]
@@ -304,7 +329,7 @@ mod tests {
         let centers: Vec<Vec<f32>> = (0..19).map(|c| vec![c as f32, (c % 3) as f32]).collect();
         let m = PointMatrix::from_rows(&rows_vec);
         let idx: Vec<usize> = (0..m.n()).collect();
-        let got = nearest_centers_blocked(&m, &idx, &centers);
+        let got = nearest_centers(&m, &idx, &centers);
         for (i, p) in rows_vec.iter().enumerate() {
             assert_eq!(got[i], nearest_center(p, &centers));
         }
@@ -313,25 +338,45 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        // The blocked kernel is pinned to the naive per-point reference:
-        // identical nearest indices for arbitrary f32 inputs (including
-        // values whose squared distances overflow to +inf).
+        // The lane kernel is pinned to the naive per-point reference:
+        // identical nearest indices for dims 1..=40 (the pipeline's 33
+        // included) and 1..=40 centers, so full and partial lane blocks
+        // both run. Values mix NaN, ±inf, -0.0, f32::MAX-scale
+        // magnitudes (squared distances overflow to +inf) and small
+        // integers (exact ties), and some centers are duplicated, so the
+        // lowest-index tie rule is exercised. Rows are listed with
+        // repeats and out of order.
         #[test]
         fn blocked_kernel_matches_naive_nearest_center(
-            pts in proptest::collection::vec(
-                proptest::collection::vec(-3.4e38f32..3.4e38f32, 3),
-                1..80,
-            ),
-            centers in proptest::collection::vec(
-                proptest::collection::vec(-3.4e38f32..3.4e38f32, 3),
-                1..20,
-            ),
+            case in (1usize..41, 1usize..41).prop_flat_map(|(dim, k)| {
+                let value = (0u64..64, -1e3f32..1e3f32).prop_map(|(s, v)| match s {
+                    0 => f32::NAN,
+                    1 => f32::INFINITY,
+                    2 => f32::NEG_INFINITY,
+                    3..=5 => -0.0,
+                    6 => 3.4e38,
+                    7..=31 => (s % 4) as f32,
+                    _ => v,
+                });
+                (
+                    proptest::collection::vec(proptest::collection::vec(value.clone(), dim), 1..30),
+                    proptest::collection::vec(proptest::collection::vec(value, dim), k),
+                    proptest::collection::vec((0usize..40, 0usize..40), 0..4),
+                    proptest::collection::vec(0usize..30, 0..40),
+                )
+            }),
         ) {
+            let (pts, mut centers, dups, picks) = case;
+            let k = centers.len();
+            for &(to, from) in &dups {
+                centers[to % k] = centers[from % k].clone();
+            }
             let m = PointMatrix::from_rows(&pts);
-            let rows: Vec<usize> = (0..m.n()).collect();
-            let got = nearest_centers_blocked(&m, &rows, &centers);
-            for (i, p) in pts.iter().enumerate() {
-                proptest::prop_assert_eq!(got[i], nearest_center(p, &centers));
+            let mut rows: Vec<usize> = (0..m.n()).collect();
+            rows.extend(picks.iter().map(|&p| p % m.n()));
+            let got = nearest_centers(&m, &rows, &centers);
+            for (&r, &g) in rows.iter().zip(&got) {
+                proptest::prop_assert_eq!(g, nearest_center(&pts[r], &centers), "row {}", r);
             }
         }
 

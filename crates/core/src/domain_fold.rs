@@ -3,7 +3,7 @@
 use matelda_cluster::{Hdbscan, HdbscanConfig, ScaleError, NOISE};
 use matelda_detect::column_syntactic_features;
 use matelda_embed::encoder::{embed_table, embed_table_sampled, HashedEncoder};
-use matelda_embed::vector::cosine_distance;
+use matelda_embed::vector::{dot, norm};
 use matelda_exec::Executor;
 use matelda_table::{Lake, Table};
 use matelda_text::jaccard;
@@ -192,9 +192,14 @@ pub fn try_folds_from_embedding_excluding_with(
             if n == 1 {
                 vec![vec![0]]
             } else {
+                // Each table's norm once, not twice per distance call.
+                let norms: Vec<f32> = survivors.iter().map(|&t| norm(&vecs[t])).collect();
                 let labels = Hdbscan::new(HdbscanConfig::default()).try_fit_with_exec(
                     n,
-                    |a, b| f64::from(cosine_distance(&vecs[survivors[a]], &vecs[survivors[b]])),
+                    |a, b| {
+                        let ab = dot(&vecs[survivors[a]], &vecs[survivors[b]]);
+                        f64::from(cosine_distance_from(ab, norms[a], norms[b]))
+                    },
                     exec,
                     budget,
                 )?;
@@ -240,6 +245,16 @@ pub fn domain_folds(
 ) -> Vec<Fold> {
     let embedded = embed_lake(lake, strategy, encoder, seed, &Executor::single());
     folds_from_embedding(lake, &embedded)
+}
+
+/// [`cosine_distance`](matelda_embed::vector::cosine_distance) given the
+/// dot product and both norms, by
+/// [`cosine`](matelda_embed::vector::cosine)'s rule: a zero norm gives a
+/// cosine of 0, otherwise `dot / (na * nb)` clamped to [−1, 1]. `norm`
+/// is deterministic, so this is the same bits as `cosine_distance(a, b)`.
+fn cosine_distance_from(dot: f32, na: f32, nb: f32) -> f32 {
+    let cos = if na == 0.0 || nb == 0.0 { 0.0 } else { (dot / (na * nb)).clamp(-1.0, 1.0) };
+    1.0 - cos
 }
 
 /// Converts HDBSCAN labels to table groups; noise tables become singleton
@@ -386,6 +401,7 @@ pub fn unionability_matrix_sketched(lake: &Lake, k: usize) -> Vec<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matelda_embed::vector::cosine_distance;
     use matelda_table::{Column, Table};
 
     /// Two soccer-ish tables, two movie-ish tables, one loner.
@@ -580,6 +596,62 @@ mod tests {
         assert_eq!(one[0].tables(), vec![4]);
         let none = folds_from_embedding_excluding(&lake, &embedded, &[0, 1, 2, 3, 4]);
         assert!(none.is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        // The per-table norms are an exact rewrite: the folds equal
+        // HDBSCAN's on the reference closure `cosine_distance(a, b)` for
+        // lakes of 2..45 tables (so survivor counts off multiples of 8),
+        // with zero vectors, scaled copies of a few directions, noise
+        // vectors and excluded tables, at 1 and 3 threads.
+        #[test]
+        fn folds_equal_hdbscan_on_the_reference_cosine_distance(
+            protos in proptest::collection::vec(proptest::collection::vec(-1.0f32..1.0, 24), 3),
+            tables in proptest::collection::vec(
+                (0usize..6, 0.1f32..3.0, proptest::collection::vec(-0.05f32..0.05, 24)),
+                2..45,
+            ),
+            excluded in proptest::collection::vec(0usize..45, 0..6),
+        ) {
+            let vecs: Vec<Vec<f32>> = tables
+                .iter()
+                .map(|(kind, scale, noise)| match kind {
+                    0 => vec![0.0; 24],
+                    1..=3 => protos[kind - 1].iter().zip(noise).map(|(p, e)| p * scale + e).collect(),
+                    _ => noise.iter().map(|e| e * 20.0).collect(),
+                })
+                .collect();
+            let lake = Lake::new(
+                (0..vecs.len())
+                    .map(|t| Table::new(format!("t{t}"), vec![Column::new("c", ["v"])]))
+                    .collect(),
+            );
+            let embedded = EmbeddedLake::Vectors(vecs.clone());
+            let survivors: Vec<usize> = (0..vecs.len()).filter(|t| !excluded.contains(t)).collect();
+            let n = survivors.len();
+            let want: Vec<Fold> = if n < 2 {
+                survivors.iter().map(|&t| Fold { columns: vec![(t, 0)] }).collect()
+            } else {
+                let labels = Hdbscan::new(HdbscanConfig::default()).fit_with(n, |a, b| {
+                    f64::from(cosine_distance(&vecs[survivors[a]], &vecs[survivors[b]]))
+                });
+                groups_from_labels(&labels, n)
+                    .into_iter()
+                    .map(|g| Fold { columns: g.iter().map(|&l| (survivors[l], 0)).collect() })
+                    .collect()
+            };
+            for threads in [1, 3] {
+                let got = folds_from_embedding_excluding_with(
+                    &lake,
+                    &embedded,
+                    &excluded,
+                    &Executor::new(threads),
+                );
+                proptest::prop_assert_eq!(&got, &want, "threads {}", threads);
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use matelda_table::{
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
 /// One file's freshness stamp.
@@ -55,7 +55,7 @@ pub struct LakePair {
 struct Entry {
     dirty_stamps: Vec<Stamp>,
     clean_stamps: Vec<Stamp>,
-    pair: LakePair,
+    pair: Arc<LakePair>,
 }
 
 /// A concurrent map from `(dirty_dir, clean_dir)` to parsed lakes.
@@ -72,15 +72,16 @@ impl Registry {
 
     /// Returns the parsed pair for two directories, reloading if any
     /// underlying CSV file changed (or appeared, or vanished) since the
-    /// cached parse.
-    pub fn load(&self, dirty_dir: &Path, clean_dir: &Path) -> io::Result<LakePair> {
+    /// cached parse. A hit shares the cached pair instead of copying the
+    /// lake.
+    pub fn load(&self, dirty_dir: &Path, clean_dir: &Path) -> io::Result<Arc<LakePair>> {
         let key = (dirty_dir.to_path_buf(), clean_dir.to_path_buf());
         let dirty_stamps = stamps(dirty_dir)?;
         let clean_stamps = stamps(clean_dir)?;
         let mut entries = self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(e) = entries.get(&key) {
             if e.dirty_stamps == dirty_stamps && e.clean_stamps == clean_stamps {
-                return Ok(e.pair.clone());
+                return Ok(Arc::clone(&e.pair));
             }
         }
         let opts = ReadOptions::strict();
@@ -91,8 +92,45 @@ impl Registry {
         if dirty.n_tables() != clean.n_tables() {
             return Err(io::Error::other("dirty and clean lakes have different table counts"));
         }
-        let pair = LakePair { dirty: dirty.clone(), truth: diff_lakes(&dirty, &clean) };
-        entries.insert(key, Entry { dirty_stamps, clean_stamps, pair: pair.clone() });
+        let pair = Arc::new(LakePair { truth: diff_lakes(&dirty, &clean), dirty });
+        entries.insert(key, Entry { dirty_stamps, clean_stamps, pair: Arc::clone(&pair) });
         Ok(pair)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use matelda_table::{write_lake_to_dir, Column, Table};
+
+    fn lake(cell: &str) -> Lake {
+        Lake::new(vec![
+            Table::new("a", vec![Column::new("x", ["1", cell])]),
+            Table::new("b", vec![Column::new("y", ["p", "q"])]),
+        ])
+    }
+
+    #[test]
+    fn hits_share_the_parsed_lake_and_a_rewrite_reloads_it() {
+        let root = std::env::temp_dir().join(format!("matelda_registry_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (dirty_dir, clean_dir) = (root.join("dirty"), root.join("clean"));
+        write_lake_to_dir(&lake("2x"), &dirty_dir).expect("write dirty");
+        write_lake_to_dir(&lake("2"), &clean_dir).expect("write clean");
+
+        let registry = Registry::new();
+        let first = registry.load(&dirty_dir, &clean_dir).expect("cold load");
+        let hit = registry.load(&dirty_dir, &clean_dir).expect("hit");
+        assert!(Arc::ptr_eq(&first, &hit), "an unchanged lake is shared, not copied");
+        assert_eq!(first.dirty, lake("2x"));
+        assert_eq!(first.truth.count(), 1);
+
+        // A rewrite with a different length always changes the stamp.
+        write_lake_to_dir(&lake("22"), &dirty_dir).expect("rewrite dirty");
+        let reloaded = registry.load(&dirty_dir, &clean_dir).expect("reload");
+        assert!(!Arc::ptr_eq(&first, &reloaded), "a changed file must reload");
+        assert_eq!(reloaded.dirty, lake("22"));
+        assert_eq!(first.dirty, lake("2x"), "a shared pair never changes under its holder");
+        std::fs::remove_dir_all(&root).expect("cleanup");
     }
 }

@@ -331,21 +331,38 @@ impl<'a> DirCursor<'a> {
     }
 
     fn str(&mut self) -> Result<String, ChunkedError> {
-        let len = self.u64()? as usize;
-        let end = self.pos + len;
-        if end > self.bytes.len() {
+        let len = self.u64()?;
+        if len > self.remaining() as u64 {
             return Err(ChunkedError::Corrupt("directory string truncated".into()));
         }
+        let end = self.pos + len as usize;
         let s = std::str::from_utf8(&self.bytes[self.pos..end])
             .map_err(|_| ChunkedError::Corrupt("directory string not utf-8".into()))?;
         self.pos = end;
         Ok(s.to_string())
     }
+
+    /// Directory bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
 }
+
+/// The fewest directory bytes a column entry takes: an empty name's
+/// length, the data offset and the data length.
+const MIN_COL_ENTRY_LEN: usize = 3 * 8;
 
 impl<'a> ColumnarReader<'a> {
     /// Opens a columnar file: validates magic/version, reads the
     /// directory (two small ranged reads), leaves cell data on disk.
+    ///
+    /// Every length the header claims is checked against the bytes that
+    /// could back it before anything is sized by it: the directory
+    /// against the file, each directory string and the column count
+    /// against the directory bytes left, each column's data range against
+    /// the file, and the row count against every column's data (each
+    /// value takes at least its 8-byte length). A header that fails any
+    /// check is [`ChunkedError::Corrupt`].
     pub fn open(src: &'a dyn ChunkSource, path: &Path) -> Result<Self, ChunkedError> {
         let prelude = src.read_range(path, 0, 16)?;
         if prelude.len() < 16 {
@@ -360,20 +377,27 @@ impl<'a> ColumnarReader<'a> {
                 "version {version}, expected {COLUMNAR_VERSION}"
             )));
         }
-        let dir_len = u64::from_le_bytes(prelude[8..16].try_into().expect("8 bytes")) as usize;
+        let dir_len = u64::from_le_bytes(prelude[8..16].try_into().expect("8 bytes"));
         let file_len = src.file_len(path)?;
-        if 16 + dir_len as u64 > file_len {
+        if dir_len > file_len.saturating_sub(16) {
             return Err(ChunkedError::Corrupt("directory extends past eof".into()));
         }
+        let dir_len = usize::try_from(dir_len)
+            .map_err(|_| ChunkedError::Corrupt("directory larger than memory".into()))?;
         let dir_blob = src.read_range(path, 16, dir_len)?;
         if dir_blob.len() < dir_len {
             return Err(ChunkedError::Corrupt("directory short read".into()));
         }
         let mut cur = DirCursor { bytes: &dir_blob, pos: 0 };
         let name = cur.str()?;
-        let n_cols = cur.u64()? as usize;
-        let n_rows = cur.u64()? as usize;
-        let mut cols = Vec::with_capacity(n_cols);
+        let n_cols = cur.u64()?;
+        let n_rows = cur.u64()?;
+        if n_cols > (cur.remaining() / MIN_COL_ENTRY_LEN) as u64 {
+            return Err(ChunkedError::Corrupt(format!(
+                "{n_cols} columns cannot fit in the directory"
+            )));
+        }
+        let mut cols = Vec::with_capacity(n_cols as usize);
         for _ in 0..n_cols {
             let col_name = cur.str()?;
             let off = cur.u64()?;
@@ -383,8 +407,18 @@ impl<'a> ColumnarReader<'a> {
                     "column {col_name:?} data range [{off}, +{len}) past eof"
                 )));
             }
+            if n_rows > len / 8 {
+                return Err(ChunkedError::Corrupt(format!(
+                    "column {col_name:?} holds {len} bytes, too few for {n_rows} rows"
+                )));
+            }
             cols.push(ColMeta { name: col_name, off, len });
         }
+        if cols.is_empty() && n_rows > 0 {
+            return Err(ChunkedError::Corrupt(format!("{n_rows} rows without a column")));
+        }
+        let n_rows = usize::try_from(n_rows)
+            .map_err(|_| ChunkedError::Corrupt(format!("{n_rows} rows exceed memory")))?;
         Ok(Self { src, path: path.to_path_buf(), name, n_rows, cols })
     }
 
@@ -607,6 +641,7 @@ mod tests {
     use super::*;
     use crate::csv::{parse_table, write_table};
     use crate::fingerprint::lake_fingerprint;
+    use proptest::prelude::Strategy;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -783,6 +818,189 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// One `.mtc` file held in memory, so the decoder tests need no disk.
+    /// A read longer than the file (beyond the fixed 16-byte prelude)
+    /// panics: `StdFs` would allocate that length up front, so such a
+    /// read means the decoder trusted a length the file cannot back.
+    struct Mem(Vec<u8>);
+
+    impl ChunkSource for Mem {
+        fn file_len(&self, _: &Path) -> io::Result<u64> {
+            Ok(self.0.len() as u64)
+        }
+        fn read_range(&self, _: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+            assert!(len <= self.0.len().max(16), "read of {len} bytes trusts the header");
+            let start = usize::try_from(offset).map_or(self.0.len(), |o| o.min(self.0.len()));
+            Ok(self.0[start..].iter().take(len).copied().collect())
+        }
+        fn write_atomic(&self, _: &Path, _: &[u8]) -> io::Result<()> {
+            Err(io::Error::other("read-only"))
+        }
+        fn create_dir_all(&self, _: &Path) -> io::Result<()> {
+            Ok(())
+        }
+        fn read_dir(&self, _: &Path) -> io::Result<Vec<PathBuf>> {
+            Ok(Vec::new())
+        }
+    }
+
+    /// Opens `bytes` and reads the whole table at `chunk_len`.
+    fn decode(bytes: Vec<u8>, chunk_len: usize) -> Result<Table, ChunkedError> {
+        let src = Mem(bytes);
+        let reader = ColumnarReader::open(&src, Path::new("mem.mtc"))?;
+        let table = reader.read_table(chunk_len)?;
+        assert_eq!(table.n_cols(), reader.n_cols());
+        assert!(table.columns.iter().all(|c| c.len() == reader.n_rows()));
+        Ok(table)
+    }
+
+    /// Overwrites the u64 at byte `at`.
+    fn with_u64(mut bytes: Vec<u8>, at: usize, value: u64) -> Vec<u8> {
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        bytes
+    }
+
+    /// `table`'s encoding and the offsets of its header fields: the
+    /// directory length, the table-name length, the column count and the
+    /// row count.
+    fn encoded_with_fields(table: &Table) -> (Vec<u8>, [usize; 4]) {
+        let name_at = 16;
+        let n_cols_at = name_at + 8 + table.name.len();
+        (encode_table_columnar(table), [8, name_at, n_cols_at, n_cols_at + 8])
+    }
+
+    fn assert_corrupt(res: Result<impl fmt::Debug, ChunkedError>, what: &str) {
+        assert!(matches!(res, Err(ChunkedError::Corrupt(_))), "{what}: got {res:?}");
+    }
+
+    /// Regression: `16 + dir_len` overflowed for a directory length near
+    /// `u64::MAX` — a debug panic; in release it wrapped past the check
+    /// and `StdFs` panicked allocating the claimed length.
+    #[test]
+    fn a_huge_directory_length_is_corrupt() {
+        let (bytes, [dir_len_at, ..]) = encoded_with_fields(&spiky_table());
+        for claim in [u64::MAX, u64::MAX - 15, u64::MAX - 16] {
+            assert_corrupt(decode(with_u64(bytes.clone(), dir_len_at, claim), 64), "dir_len");
+        }
+    }
+
+    /// Regression: a directory string claiming `u64::MAX - 7` bytes
+    /// overflowed `pos + len` — a debug panic; release panicked slicing.
+    #[test]
+    fn a_huge_directory_string_length_is_corrupt() {
+        let (bytes, [_, name_len_at, ..]) = encoded_with_fields(&spiky_table());
+        for claim in [u64::MAX - 7, u64::MAX, 1 << 40] {
+            assert_corrupt(decode(with_u64(bytes.clone(), name_len_at, claim), 64), "name");
+        }
+    }
+
+    /// Regression: a column count of 2^60 panicked `Vec::with_capacity`
+    /// with a capacity overflow before a single entry was read.
+    #[test]
+    fn a_huge_column_count_is_corrupt() {
+        let (bytes, [_, _, n_cols_at, _]) = encoded_with_fields(&spiky_table());
+        for claim in [1 << 60, u64::MAX, 4] {
+            assert_corrupt(decode(with_u64(bytes.clone(), n_cols_at, claim), 64), "n_cols");
+        }
+    }
+
+    /// Regression: a row count of 2^40 over an empty column opened `Ok`,
+    /// and `skeleton_lake` then allocated 2^40 strings for it. Through the
+    /// real file system, as the out-of-core driver reads it.
+    #[test]
+    fn a_row_count_the_columns_cannot_hold_is_corrupt() {
+        let dir = tmpdir("huge_rows");
+        let header_only = Table::new("h", vec![Column::new("a", Vec::<String>::new())]);
+        let (bytes, [.., n_rows_at]) = encoded_with_fields(&header_only);
+        std::fs::write(dir.join("h.mtc"), with_u64(bytes, n_rows_at, 1 << 40)).expect("write");
+        assert_corrupt(
+            ColumnarReader::open(&StdFs, &dir.join("h.mtc")).map(|r| r.n_rows()),
+            "open",
+        );
+        assert_corrupt(skeleton_lake(&StdFs, &dir), "skeleton");
+        // One row more than a real column's values can back, and a row
+        // count without any column.
+        let (bytes, [.., n_rows_at]) = encoded_with_fields(&spiky_table());
+        let data_len: u64 =
+            spiky_table().columns[1].values.iter().map(|v| 8 + v.len() as u64).sum();
+        assert_corrupt(decode(with_u64(bytes, n_rows_at, data_len / 8 + 1), 64), "rows");
+        let (bytes, [.., n_rows_at]) = encoded_with_fields(&Table::new("e", vec![]));
+        assert_corrupt(decode(with_u64(bytes, n_rows_at, 1), 64), "no columns");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        // Arbitrary bytes behind a valid magic and version, or a real
+        // table's encoding with one u64 overwritten anywhere, with values
+        // small or arbitrary: `open` and `read_table` return a table or a
+        // structured error, and never panic or read a length the file
+        // cannot back (`Mem` panics on such a read).
+        #[test]
+        fn columnar_decode_never_panics_on_arbitrary_bytes(
+            fields in proptest::collection::vec(
+                (0u64..10, 0u64..u64::MAX).prop_map(|(s, h)| match s {
+                    0..=2 => s,
+                    3..=5 => s * 8,
+                    _ => h,
+                }),
+                0..12,
+            ),
+            tail in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..64),
+            mode in (0usize..3, 0usize..1024),
+            chunk_len in 1usize..40,
+        ) {
+            let bytes = match mode.0 {
+                // A real table with one field overwritten.
+                0 => {
+                    let bytes = encode_table_columnar(&spiky_table());
+                    let at = mode.1 % (bytes.len() - 7);
+                    with_u64(bytes, at, fields.first().copied().unwrap_or(u64::MAX))
+                }
+                // A made-up directory whose claimed length is the rest of
+                // the file, or arbitrary.
+                _ => {
+                    let mut bytes = COLUMNAR_MAGIC.to_vec();
+                    bytes.extend_from_slice(&COLUMNAR_VERSION.to_le_bytes());
+                    let rest = (fields.len() * 8 + tail.len()) as u64;
+                    let dir_len = if mode.0 == 1 { rest } else { mode.1 as u64 };
+                    bytes.extend_from_slice(&dir_len.to_le_bytes());
+                    fields.iter().for_each(|v| bytes.extend_from_slice(&v.to_le_bytes()));
+                    bytes.extend_from_slice(&tail);
+                    bytes
+                }
+            };
+            let _ = decode(bytes, chunk_len);
+        }
+
+        // Every strict prefix of a real `.mtc` file — a torn write — is
+        // an error, never a panic and never `Ok`; the whole file is the
+        // table.
+        #[test]
+        fn every_truncated_prefix_of_a_columnar_file_is_an_error(
+            cols in proptest::collection::vec(proptest::collection::vec(0usize..5, 0..4), 0..4),
+            chunk_len in 1usize..20,
+        ) {
+            const PALETTE: [&str; 5] = ["", "x", "é,\"", "漢字", "a longer value"];
+            let n_rows = cols.iter().map(Vec::len).min().unwrap_or(0);
+            let table = Table::new(
+                "t",
+                cols.iter()
+                    .enumerate()
+                    .map(|(i, picks)| {
+                        Column::new(format!("c{i}"), picks[..n_rows].iter().map(|&p| PALETTE[p]))
+                    })
+                    .collect(),
+            );
+            let bytes = encode_table_columnar(&table);
+            for cut in 0..bytes.len() {
+                proptest::prop_assert!(decode(bytes[..cut].to_vec(), chunk_len).is_err(), "cut {cut}");
+            }
+            proptest::prop_assert_eq!(decode(bytes, chunk_len).expect("a whole file decodes"), table);
+        }
     }
 
     proptest::proptest! {
