@@ -31,12 +31,12 @@ fn main() {
     let git_sizes: Vec<usize> = match scale {
         Scale::Quick => vec![50, 100],
         Scale::Small => vec![100, 250, 500],
-        Scale::Full | Scale::LargeCi | Scale::Large => vec![100, 250, 500, 750, 1000],
+        Scale::Full | Scale::LargeCi => vec![100, 250, 500, 750, 1000],
     };
     let dgov_sizes: Vec<usize> = match scale {
         Scale::Quick => vec![50, 100],
         Scale::Small => vec![100, 250, 400],
-        Scale::Full | Scale::LargeCi | Scale::Large => vec![250, 500, 750, 1000, 1173],
+        Scale::Full | Scale::LargeCi => vec![250, 500, 750, 1000, 1173],
     };
 
     // Runtime is the headline here, but the accuracy of every sweep point
@@ -124,7 +124,7 @@ fn main() {
     let row_sizes: Vec<usize> = match scale {
         Scale::Quick => vec![50, 100],
         Scale::Small => vec![50, 100, 200],
-        Scale::Full | Scale::LargeCi | Scale::Large => vec![50, 100, 200, 400],
+        Scale::Full | Scale::LargeCi => vec![50, 100, 200, 400],
     };
     let mut t = TextTable::new(&["rows/table", "Matelda", "Raha"]);
     for &rows in &row_sizes {

@@ -1,237 +1,173 @@
-//! The out-of-core scale bench: generates a scale-tier lake straight to
-//! disk, converts it to the columnar layout, runs the out-of-core
-//! detection path at 1/2/4 threads, and checks the whole contract —
-//! digest bit-identity with the in-memory path, peak RSS under a fixed
-//! multiple of the on-disk lake size, spill accounting — then merges a
-//! `scale` section into `BENCH_stages.json` for the bench gate and an
-//! eval row (keyed by the tier, so it never collides with the
-//! quick/full baselines) into `EVAL_matrix.json`.
+//! The out-of-core check at the fixed `large-ci` tier (150 tables,
+//! ~1.19 M cells): generates the tier's lake straight to disk, converts
+//! it to the columnar layout, runs the out-of-core path at 1/2/4 threads
+//! and the in-memory path once, and exits nonzero listing every check
+//! that fails:
 //!
-//! Protocol notes:
+//! * the out-of-core digest is the same at 1/2/4 threads and equals the
+//!   in-memory digest, and the streamed lake fingerprint equals the
+//!   materialized lake's;
+//! * every out-of-core leg streams every cell and writes one spill per
+//!   table;
+//! * the 1-thread leg's peak RSS is at most `10 × lake_bytes`.
 //!
-//! * `MATELDA_SCALE` picks the tier (`quick`/`full`/`large-ci`/`large`,
-//!   default `large-ci` — the CI job's bounded tier);
-//! * peak RSS is `VmHWM` from `/proc/self/status`, which is monotonic —
-//!   so the out-of-core legs run *first* and the high-water mark is read
-//!   *before* the in-memory digest leg materializes the lake;
-//! * the RSS budget is `lake_bytes × 32 + 128 MiB`: cell values are
-//!   never lake-wide resident, but the featurized lake is (quality-fold
-//!   k-means clusters all cells at once), and features cost 4 bytes
-//!   per cell (one pattern code) plus a small per-table pattern table,
-//!   against ~14 columnar bytes per cell — a fixed multiple of the lake
-//!   size, independent of tier, well inside the budget. The constant
-//!   covers the runtime floor on small lakes.
-//!   Exceeding the budget → nonzero exit, which is the CI job's
-//!   assertion; the tighter check is the gate's relative clause (fresh
-//!   peak ≤ 1.5× the committed baseline's).
+//! Every leg labels with the generator's truth (`Oracle`, keyed by cell
+//! id, so the out-of-core and in-memory paths get the same labels). When
+//! every check passes, the 1-thread leg's accuracy is recorded as the
+//! `scale_bench` / `large-ci` row of `EVAL_matrix.json`
+//! (`MATELDA_EVAL_OUT` overrides the path, as for every experiment
+//! binary), and `eval_gate` compares it with the committed row.
+//!
+//! Peak RSS is `VmHWM`, which never decreases, so it is read right after
+//! the 1-thread leg: the 2- and 4-thread legs hold more tables at once,
+//! and the in-memory leg materializes the lake. A streaming run keeps
+//! the featurized lake resident (one 4-byte pattern code per cell plus
+//! each table's pattern table) against ~14 columnar bytes per cell. A
+//! 1-thread run peaks near 6.6× the lake, so a change that doubles its
+//! peak breaks the budget.
+//!
+//! ```text
+//! cargo run --release -p matelda-bench --bin scale_bench
+//! ```
 
-use matelda_bench::json::Json;
+use matelda_bench::eval::EvalRecorder;
 use matelda_bench::{secs, Scale};
 use matelda_core::{Matelda, MateldaConfig, OutOfCoreOpts};
 use matelda_lakegen::{ScaleLake, ScaleTier};
+use matelda_obs::{ProcMemory, Stopwatch};
 use matelda_table::chunked::{csv_dir_to_columnar, read_lake_columnar, DEFAULT_CHUNK_LEN};
-use matelda_table::{CellId, Confusion, Labeler, StdFs};
-use std::path::PathBuf;
-use std::time::Instant;
+use matelda_table::{lake_fingerprint, Confusion, Oracle, StdFs};
+use std::process::ExitCode;
 
-/// Deterministic id-keyed labeler: the same cell id gets the same label
-/// regardless of which path (in-memory or out-of-core) asks, so the
-/// digest comparison isolates the pipeline, not the oracle.
-struct HashLabeler {
-    used: usize,
-}
+/// The 1-thread leg's peak RSS budget, in multiples of the columnar
+/// lake's on-disk size.
+const RSS_BUDGET_LAKES: u64 = 10;
 
-impl Labeler for HashLabeler {
-    fn label(&mut self, id: CellId) -> bool {
-        self.used += 1;
-        (id.table * 31 + id.row * 7 + id.col).is_multiple_of(3)
-    }
-
-    fn labels_used(&self) -> usize {
-        self.used
-    }
-}
-
-/// `VmHWM` (peak resident set, bytes) from `/proc/self/status`; 0 when
-/// unavailable (non-Linux), which disables the local assertion but
-/// still records the field.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
-}
-
-/// Replaces (or adds) the `scale` section in `BENCH_stages.json`.
-/// Everything else in the file is preserved — the stages bench owns the
-/// rest.
-fn merge_scale_section(path: &str, section: Json) -> std::io::Result<()> {
-    let doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .unwrap_or(Json::Obj(vec![("bench".into(), Json::Str("stages".into()))]));
-    let Json::Obj(fields) = doc else {
-        return Err(std::io::Error::other("BENCH_stages.json is not an object"));
-    };
-    let mut out: Vec<(String, Json)> = fields.into_iter().filter(|(k, _)| k != "scale").collect();
-    out.push(("scale".into(), section));
-    std::fs::write(path, Json::Obj(out).render() + "\n")
-}
-
-fn main() {
-    let tier_name = std::env::var("MATELDA_SCALE").unwrap_or_default();
-    let tier = ScaleTier::parse(&tier_name).unwrap_or(ScaleTier::LargeCi);
-    let eval_scale = match tier {
-        ScaleTier::Quick => Scale::Quick,
-        ScaleTier::Full => Scale::Full,
-        ScaleTier::LargeCi => Scale::LargeCi,
-        ScaleTier::Large => Scale::Large,
-    };
+fn main() -> ExitCode {
+    let tier = ScaleTier::LargeCi;
     println!("=== scale bench: out-of-core detection at tier `{}` ===\n", tier.name());
-
-    let work: PathBuf =
-        std::env::var("MATELDA_SCALE_DIR").map(PathBuf::from).unwrap_or_else(|_| {
-            std::env::temp_dir().join(format!("matelda_scale_bench_{}", std::process::id()))
-        });
-    let csv_dir = work.join("csv");
-    let columnar_dir = work.join("columnar");
-    let spill_dir = work.join("spill");
+    let work = std::env::temp_dir().join(format!("matelda_scale_bench_{}", std::process::id()));
+    let (csv_dir, columnar_dir, spill_dir) =
+        (work.join("csv"), work.join("columnar"), work.join("spill"));
     let _ = std::fs::remove_dir_all(&work);
 
-    // Phase 1: generate the dirty lake straight to disk, one table
-    // resident at a time.
-    let t0 = Instant::now();
+    // Generate the dirty lake straight to disk, one table resident at a
+    // time, then convert it to columnar, still one table at a time.
+    let clock = Stopwatch::start();
     let on_disk = ScaleLake::new(tier).generate_to_disk(1, &csv_dir).expect("generate lake");
     println!(
         "generated {} tables / {} cells / {} CSV bytes in {}",
         on_disk.n_tables,
         on_disk.n_cells,
         on_disk.bytes_written,
-        secs(t0.elapsed().as_secs_f64())
+        secs(clock.elapsed_secs())
     );
-
-    // Phase 2: CSV → columnar, still one table at a time.
     let fs = StdFs;
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     let n = csv_dir_to_columnar(&fs, &csv_dir, &columnar_dir, DEFAULT_CHUNK_LEN)
         .expect("columnar conversion");
     assert_eq!(n, on_disk.n_tables);
-    println!("converted to columnar in {}", secs(t0.elapsed().as_secs_f64()));
+    println!("converted to columnar in {}", secs(clock.elapsed_secs()));
 
-    // Phase 3: the out-of-core legs — BEFORE the in-memory leg, so the
-    // monotonic VmHWM read below covers only the streaming path.
     let budget = 2 * on_disk.n_tables;
-    let mem_budget = std::env::var("MATELDA_MEM_BUDGET_BYTES").ok().and_then(|s| s.parse().ok());
     let opts = OutOfCoreOpts::new(&spill_dir);
-    let mut digests = Vec::new();
-    let mut one_thread_run = None;
+    let mut failures = Vec::new();
+    let mut one_thread = None;
+    let mut peak_rss = None;
     for threads in [1usize, 2, 4] {
-        let config =
-            MateldaConfig { threads, mem_budget_bytes: mem_budget, ..MateldaConfig::default() };
-        let mut labeler = HashLabeler { used: 0 };
-        let t0 = Instant::now();
-        let run = Matelda::new(config)
-            .detect_out_of_core(&fs, &columnar_dir, &mut labeler, budget, &opts)
+        let clock = Stopwatch::start();
+        let run = Matelda::new(MateldaConfig { threads, ..MateldaConfig::default() })
+            .detect_out_of_core(
+                &fs,
+                &columnar_dir,
+                &mut Oracle::new(&on_disk.errors),
+                budget,
+                &opts,
+            )
             .expect("out-of-core detection");
-        let wall = t0.elapsed().as_secs_f64();
+        let digest = run.result.digest();
         println!(
-            "out-of-core @{threads}t: digest {:016x}, {} spills, {} labels, {}",
-            run.result.digest(),
+            "out-of-core @{threads}t: digest {digest:016x}, {} spills, {}",
             run.spill_count,
-            labeler.used,
-            secs(wall)
+            secs(clock.elapsed_secs())
         );
-        assert_eq!(run.cells, on_disk.n_cells, "streamed cell count");
-        assert_eq!(run.spill_count, on_disk.n_tables, "one spill per table");
-        digests.push(run.result.digest());
-        if threads == 1 {
-            one_thread_run = Some(run);
+        if run.cells != on_disk.n_cells {
+            failures.push(format!(
+                "@{threads}t streamed {} cells, the lake has {}",
+                run.cells, on_disk.n_cells
+            ));
+        }
+        if run.spill_count != on_disk.n_tables {
+            failures.push(format!(
+                "@{threads}t wrote {} spills for {} tables",
+                run.spill_count, on_disk.n_tables
+            ));
+        }
+        match &one_thread {
+            None => {
+                peak_rss = ProcMemory::read().map(|m| m.hwm_bytes);
+                one_thread = Some(run);
+            }
+            Some(first) => {
+                let first = first.result.digest();
+                if digest != first {
+                    failures.push(format!(
+                        "@{threads}t digest {digest:016x} differs from the 1-thread {first:016x}"
+                    ));
+                }
+            }
         }
     }
-    let run = one_thread_run.expect("1-thread leg ran");
-    let threads_identical = digests.iter().all(|d| *d == digests[0]);
+    let run = one_thread.expect("the 1-thread leg ran");
+    let digest = run.result.digest();
+    let rss_budget = RSS_BUDGET_LAKES * run.lake_bytes;
+    match peak_rss {
+        Some(peak) => {
+            println!(
+                "\n1-thread peak RSS {peak} bytes, {:.1}x the {} byte columnar lake (budget {rss_budget})",
+                peak as f64 / run.lake_bytes as f64,
+                run.lake_bytes
+            );
+            if peak > rss_budget {
+                failures.push(format!("1-thread peak RSS {peak} exceeds the budget {rss_budget}"));
+            }
+        }
+        None => println!("\npeak RSS unreadable here (no /proc/self/status): budget not checked"),
+    }
 
-    // Peak RSS of the streaming phase (read before materializing).
-    let peak_rss = peak_rss_bytes();
-    let rss_budget = run.lake_bytes * 32 + (128 << 20);
-    println!(
-        "\npeak RSS {peak_rss} bytes over a {} byte columnar lake (budget {rss_budget})",
-        run.lake_bytes
-    );
-
-    // Phase 4: the in-memory digest leg — the equivalence anchor.
+    // The in-memory leg: the equivalence anchor.
     let lake = read_lake_columnar(&fs, &columnar_dir, DEFAULT_CHUNK_LEN).expect("materialize");
-    let mut labeler = HashLabeler { used: 0 };
-    let config = MateldaConfig { threads: 1, mem_budget_bytes: mem_budget, ..Default::default() };
-    let in_memory = Matelda::new(config).detect(&lake, &mut labeler, budget);
-    let in_memory_digest = in_memory.digest();
-    let fingerprint_ok = run.fingerprint == matelda_table::lake_fingerprint(&lake);
-    let digest_ok = threads_identical && digests[0] == in_memory_digest && fingerprint_ok;
-    println!(
-        "in-memory digest {in_memory_digest:016x} — {}",
-        if digest_ok { "bit-identical" } else { "DIVERGED" }
-    );
+    if run.fingerprint != lake_fingerprint(&lake) {
+        failures.push("the streamed lake fingerprint differs from the materialized lake's".into());
+    }
+    let in_memory = Matelda::new(MateldaConfig { threads: 1, ..MateldaConfig::default() })
+        .detect(&lake, &mut Oracle::new(&on_disk.errors), budget)
+        .digest();
+    println!("in-memory digest {in_memory:016x}");
+    if in_memory != digest {
+        failures.push(format!(
+            "the out-of-core digest {digest:016x} differs from the in-memory {in_memory:016x}"
+        ));
+    }
+    let _ = std::fs::remove_dir_all(&work);
 
-    // Accuracy against the generator's truth, recorded under this tier's
-    // scale key so it cannot collide with the quick/full baseline rows.
     let conf = Confusion::from_masks(&run.result.predicted, &on_disk.errors);
     println!(
-        "accuracy: precision {:.3} recall {:.3} f1 {:.3}",
+        "accuracy: precision {:.4} recall {:.4} f1 {:.4}",
         conf.precision(),
         conf.recall(),
         conf.f1()
     );
-    let mut rec = matelda_bench::eval::EvalRecorder::for_experiment("scale_bench", eval_scale);
+    if !failures.is_empty() {
+        eprintln!("\nscale bench FAILED: {} check(s)", failures.len());
+        for f in &failures {
+            eprintln!("  - {f}");
+        }
+        return ExitCode::FAILURE;
+    }
+    let mut rec = EvalRecorder::for_experiment("scale_bench", Scale::LargeCi);
     rec.record_metrics("scale", "Matelda", 2.0, 1, conf.precision(), conf.recall(), conf.f1());
     rec.flush().expect("flush eval matrix");
-
-    // The per-stage cells/s of the 1-thread leg: the stable numbers the
-    // gate bands at 25%.
-    let stage_rows: Vec<Json> = run
-        .result
-        .report
-        .stages
-        .iter()
-        .filter(|s| s.wall_secs > 0.0)
-        .map(|s| {
-            Json::Obj(vec![
-                ("stage".into(), Json::Str(s.name.clone())),
-                ("cells_per_sec".into(), Json::Num(on_disk.n_cells as f64 / s.wall_secs)),
-            ])
-        })
-        .collect();
-    let section = Json::Obj(vec![
-        ("tier".into(), Json::Str(tier.name().into())),
-        ("cells".into(), Json::Num(on_disk.n_cells as f64)),
-        ("lake_bytes".into(), Json::Num(run.lake_bytes as f64)),
-        ("peak_rss_bytes".into(), Json::Num(peak_rss as f64)),
-        ("rss_budget_bytes".into(), Json::Num(rss_budget as f64)),
-        ("spill_count".into(), Json::Num(run.spill_count as f64)),
-        ("digest_ok".into(), Json::Bool(digest_ok)),
-        ("stages".into(), Json::Arr(stage_rows)),
-    ]);
-    let bench_path =
-        std::env::var("MATELDA_BENCH_OUT").unwrap_or_else(|_| "BENCH_stages.json".to_string());
-    merge_scale_section(&bench_path, section).expect("merge scale section");
-    println!("merged `scale` section into {bench_path}");
-
-    let _ = std::fs::remove_dir_all(&work);
-
-    // The CI assertions: digest equivalence is correctness, the RSS
-    // budget is the out-of-core promise. Either failing is a red job.
-    assert!(digest_ok, "out-of-core digest diverged from the in-memory path");
-    if peak_rss > 0 {
-        assert!(
-            peak_rss <= rss_budget,
-            "peak RSS {peak_rss} exceeds budget {rss_budget} ({}x lake size)",
-            peak_rss / run.lake_bytes.max(1)
-        );
-    }
     println!("\nscale bench PASSED");
+    ExitCode::SUCCESS
 }

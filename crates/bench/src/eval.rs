@@ -1,11 +1,10 @@
-//! The accuracy counterpart of the bench gate (`gate`): every
-//! experiment binary appends structured precision/recall/F1 rows — one
-//! `ALL` row per run plus one per-error-type recall row — into a shared
-//! `EVAL_matrix.json`, keyed by (experiment × lake template × system ×
-//! error type × budget × seed). `run_all_experiments.sh` assembles the
-//! committed baseline; the `eval_gate` binary compares a fresh matrix
-//! against it and fails CI on accuracy regressions (see DESIGN.md,
-//! "Accuracy contract").
+//! The accuracy gate: every experiment binary appends structured
+//! precision/recall/F1 rows — one `ALL` row per run plus one
+//! per-error-type recall row — into a shared `EVAL_matrix.json`, keyed
+//! by (experiment × lake template × system × error type × budget ×
+//! seed). `run_all_experiments.sh` assembles the committed baseline;
+//! the `eval_gate` binary compares a fresh matrix against it and fails
+//! CI on accuracy regressions (see DESIGN.md, "Accuracy contract").
 //!
 //! Gate clauses (`compare_eval`):
 //!

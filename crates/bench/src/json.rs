@@ -1,11 +1,10 @@
-//! Hand-rolled JSON support shared by the bench gate (`gate`) and the
-//! accuracy gate (`eval`): a parser covering just enough of the grammar
-//! for the bench/eval files, plus a deterministic serializer for
-//! emitting them. Hand-rolled like everything else in the workspace —
-//! both gates emit small, known shapes and the crate policy is no
-//! third-party dependencies.
+//! Hand-rolled JSON support for the accuracy gate (`eval`): a parser
+//! covering just enough of the grammar for `EVAL_matrix.json`, plus a
+//! deterministic serializer for emitting it. Hand-rolled like everything
+//! else in the workspace — the matrix is a small, known shape and the
+//! crate policy is no third-party dependencies.
 
-/// A parsed JSON value (just enough of the grammar for bench files).
+/// A parsed JSON value (just enough of the grammar for the matrix file).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -59,14 +58,6 @@ impl Json {
         }
     }
 
-    /// The value as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
@@ -77,7 +68,7 @@ impl Json {
 
     /// Renders the value as compact single-line JSON. Numbers use the
     /// shortest `f64` display (NaN/∞, which JSON cannot represent, are
-    /// emitted as `null` — the gates treat a null metric as a missing
+    /// emitted as `null` — the gate treats a null metric as a missing
     /// one). Object key order is preserved, so rendering is
     /// deterministic for deterministically built documents.
     pub fn render(&self) -> String {

@@ -3,8 +3,11 @@
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation (§4). Each `src/bin/figN.rs` / `src/bin/tableN.rs`
 //! binary sweeps the corresponding workload and prints the same rows or
-//! series the paper reports; `benches/` holds Criterion micro-benchmarks
-//! for the substrates.
+//! series the paper reports. Performance is measured by the layered
+//! `benchmark` binary (`src/bin/benchmark/`, declared in the repo's
+//! `BENCHMARK.json`); accuracy is gated by `eval_gate` against the
+//! committed `EVAL_matrix.json`; `scale_bench` checks the out-of-core
+//! contract on the `large-ci` lake.
 //!
 //! Conventions:
 //!
@@ -16,7 +19,6 @@
 //!   lakes; the default).
 
 pub mod eval;
-pub mod gate;
 pub mod json;
 
 use matelda_baselines::{Budget, ErrorDetector};
@@ -37,11 +39,10 @@ pub enum Scale {
     /// Paper-shaped lakes — the real reproduction.
     Full,
     /// The out-of-core CI tier: a generated lake of ≥10⁶ cells streamed
-    /// through the out-of-core driver under a peak-RSS budget (see
-    /// `scale_bench`).
+    /// through the out-of-core driver under a peak-RSS budget. Only
+    /// `scale_bench` uses it, as the key of its accuracy row;
+    /// `MATELDA_SCALE` never selects it.
     LargeCi,
-    /// The unbounded out-of-core tier: ≥10⁷ cells, hundreds of tables.
-    Large,
 }
 
 impl Scale {
@@ -50,21 +51,16 @@ impl Scale {
         match std::env::var("MATELDA_SCALE").unwrap_or_default().as_str() {
             "quick" => Scale::Quick,
             "small" => Scale::Small,
-            "large-ci" => Scale::LargeCi,
-            "large" => Scale::Large,
             _ => Scale::Full,
         }
     }
 
-    /// Scales a table count down for the smaller profiles. The large
-    /// tiers never shrink an experiment sweep — they exist for the
-    /// out-of-core path, which sizes its lake from
-    /// `matelda_lakegen::ScaleTier` instead.
+    /// Scales a table count down for the smaller profiles.
     pub fn tables(self, full: usize) -> usize {
         match self {
             Scale::Quick => full.min(8),
             Scale::Small => (full / 4).max(8).min(full),
-            Scale::Full | Scale::LargeCi | Scale::Large => full,
+            Scale::Full | Scale::LargeCi => full,
         }
     }
 
@@ -75,15 +71,13 @@ impl Scale {
             Scale::Small => "small",
             Scale::Full => "full",
             Scale::LargeCi => "large-ci",
-            Scale::Large => "large",
         }
     }
 
     /// Number of independent seeds to average over. The paper averages
     /// 3–5 runs on a 64-core machine; this reproduction defaults to 2 at
     /// full scale to fit a single-core budget (set `MATELDA_SEEDS` to
-    /// override). The large tiers run one seed — a single pass is the
-    /// point.
+    /// override). The large tier runs one seed.
     pub fn seeds(self) -> u64 {
         if let Ok(s) = std::env::var("MATELDA_SEEDS") {
             if let Ok(n) = s.parse::<u64>() {
@@ -94,7 +88,7 @@ impl Scale {
             Scale::Quick => 1,
             Scale::Small => 2,
             Scale::Full => 2,
-            Scale::LargeCi | Scale::Large => 1,
+            Scale::LargeCi => 1,
         }
     }
 }
@@ -303,9 +297,7 @@ pub fn budget_axis(scale: Scale) -> Vec<f64> {
     match scale {
         Scale::Quick => vec![1.0, 5.0],
         Scale::Small => vec![0.5, 1.0, 2.0, 5.0, 10.0],
-        Scale::Full | Scale::LargeCi | Scale::Large => {
-            vec![0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
-        }
+        Scale::Full | Scale::LargeCi => vec![0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0],
     }
 }
 

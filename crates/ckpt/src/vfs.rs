@@ -31,8 +31,7 @@
 //!
 //! The plain handle ([`Vfs::real`], also `Default`) carries no state at
 //! all and compiles down to the direct `std::fs` calls plus one
-//! discriminant check — the `storage` section of `BENCH_stages.json`
-//! holds the measured indirection under its 5% budget.
+//! discriminant check.
 
 use std::fmt;
 use std::fs::{self, File};

@@ -5,26 +5,15 @@
 # Every binary appends its accuracy rows to the shared EVAL_matrix.json
 # (override the path with MATELDA_EVAL_OUT); rows are keyed by
 # (experiment, scale), so runs at different scales accumulate side by
-# side instead of overwriting each other — a large-tier pass never
-# collides with the quick-scale baseline cells. A failing experiment no
-# longer vanishes silently — the script reports each exit status and
-# exits non-zero listing every experiment that failed.
+# side instead of overwriting each other — a quick pass never collides
+# with scale_bench's large-ci row. A failing experiment no longer
+# vanishes silently — the script reports each exit status and exits
+# non-zero listing every experiment that failed.
 cd "$(dirname "$0")" || exit 1
 export MATELDA_SCALE="${MATELDA_SCALE:-full}"
 BIN=target/release
 mkdir -p results/logs
-case "$MATELDA_SCALE" in
-  large-ci|large)
-    # The large tiers exercise the out-of-core scale path, not the
-    # paper sweeps: scale_bench generates the tier's lake on disk,
-    # streams it through detection and records its accuracy row under
-    # this scale key.
-    exps="scale_bench"
-    ;;
-  *)
-    exps="table1 table3 table2 fig4 fig5 fig6 fig7 fig8 ablation_deviations ablation_classifier ablation_labeling fig3 fig9"
-    ;;
-esac
+exps="table1 table3 table2 fig4 fig5 fig6 fig7 fig8 ablation_deviations ablation_classifier ablation_labeling fig3 fig9"
 failed=""
 for exp in $exps; do
   echo "=== running $exp (scale $MATELDA_SCALE) at $(date +%H:%M:%S) ==="

@@ -128,7 +128,7 @@ fn staged_engine_is_bit_identical_across_thread_counts() {
     assert_eq!(single.n_domain_folds, 5);
     assert_eq!(single.n_quality_folds, 66);
 
-    for threads in [2, 4] {
+    for threads in [2, 4, 8] {
         let multi = run(threads);
         assert_eq!(multi.predicted, single.predicted, "mask differs at {threads} threads");
         assert_eq!(multi.labels_used, single.labels_used);
