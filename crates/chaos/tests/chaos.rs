@@ -276,12 +276,12 @@ fn workers_that_caught_item_panics_keep_serving_later_stages() {
     // worker — not a respawned replacement — must execute subsequent
     // stages' items. Two faulty maps followed by a clean one on the same
     // executor, with the spawn count pinned throughout.
-    let exec = matelda_exec::Executor::new(4).with_inline_threshold(1);
+    let exec = matelda_exec::Executor::new(4);
     let _guard =
         faultpoint::arm(vec![("s1".to_string(), 3), ("s1".to_string(), 11), ("s2".to_string(), 0)]);
 
     for stage in ["s1", "s2"] {
-        let out = exec.try_map_n(stage, 16, |i| {
+        let out = exec.try_map_n(stage, 16, None, |i| {
             faultpoint::hit(stage, i);
             i * 2
         });
@@ -298,7 +298,7 @@ fn workers_that_caught_item_panics_keep_serving_later_stages() {
     assert_eq!(spawned, 3, "4-thread pool = caller + 3 workers");
 
     // A clean third stage runs on the very same workers.
-    let clean = exec.try_map_n("s3", 16, |i| i + 1);
+    let clean = exec.try_map_n("s3", 16, None, |i| i + 1);
     assert!(clean.iter().all(|r| r.is_ok()));
     assert_eq!(
         exec.workers_spawned(),

@@ -1,10 +1,9 @@
 //! Byte budgets for the O(n²) materializations in this crate.
 //!
-//! HDBSCAN's point interface builds two dense `n × n` f64 matrices (the
-//! pairwise distances and the mutual-reachability matrix). At toy lake
-//! sizes that is noise; at the scale tiers it is the single allocation
-//! that kills the process — silently, via the OOM killer, with no
-//! degradation path. Every dense materialization therefore goes through
+//! An HDBSCAN fit builds one dense `n × n` f64 mutual-reachability
+//! matrix. At toy lake sizes that is noise; at the scale tiers it is the
+//! single allocation that kills the process — silently, via the OOM
+//! killer, with no degradation path. The fit therefore goes through
 //! [`check_budget`] first: when a configured budget would be blown the
 //! caller gets a structured [`ScaleError`] *before* the allocation is
 //! attempted, and the engine's fault policy decides what degrades

@@ -19,7 +19,6 @@
 
 use crate::budget::{check_budget, dense_matrix_bytes, ScaleError};
 use crate::linkage::{single_linkage, Merge};
-use crate::matrix::{pairwise_euclidean_with, PointMatrix};
 use matelda_exec::Executor;
 use std::sync::Mutex;
 
@@ -48,13 +47,16 @@ impl Default for HdbscanConfig {
 /// The HDBSCAN* estimator.
 ///
 /// ```
+/// use matelda_cluster::matrix::euclidean;
 /// use matelda_cluster::{Hdbscan, NOISE};
+/// use matelda_exec::Executor;
 /// let points = vec![
 ///     vec![0.0, 0.0], vec![0.1, 0.0], vec![0.0, 0.1],
 ///     vec![9.0, 9.0], vec![9.1, 9.0], vec![9.0, 9.1],
 ///     vec![100.0, -50.0], // loner
 /// ];
-/// let labels = Hdbscan::default().fit_points(&points);
+/// let dist = |a: usize, b: usize| euclidean(&points[a], &points[b]);
+/// let labels = Hdbscan::default().fit(points.len(), dist, &Executor::single(), None).unwrap();
 /// assert_eq!(labels[0], labels[1]);
 /// assert_ne!(labels[0], labels[3]);
 /// assert_eq!(labels[6], NOISE);
@@ -82,31 +84,17 @@ impl Hdbscan {
     /// Clusters `n` items given a pairwise distance function. Returns one
     /// label per item; unclustered items get [`NOISE`]. Cluster labels are
     /// dense `0..k` and deterministic.
-    pub fn fit_with(&self, n: usize, dist: impl Fn(usize, usize) -> f64 + Sync) -> Vec<isize> {
-        self.fit_with_exec(n, dist, &Executor::single())
-    }
-
-    /// [`Hdbscan::fit_with`] with the distance-construction hot spots —
-    /// core distances and the mutual-reachability matrix — built in
-    /// parallel over row blocks on `exec`. Per-row arithmetic is
-    /// untouched and rows merge in index order, so labels are
-    /// bit-identical at every thread count (Prim's edge selection itself
-    /// stays sequential: each step consumes the previous one's tree).
-    pub fn fit_with_exec(
-        &self,
-        n: usize,
-        dist: impl Fn(usize, usize) -> f64 + Sync,
-        exec: &Executor,
-    ) -> Vec<isize> {
-        self.try_fit_with_exec(n, dist, exec, None).expect("no budget")
-    }
-
-    /// [`Hdbscan::fit_with_exec`] behind the memory budget: the fit
-    /// materializes one dense `n × n` f64 mutual-reachability matrix, so
-    /// the check covers it before allocation. Over budget the caller
-    /// gets a [`ScaleError`] to degrade on; within budget the labels are
-    /// bit-identical to the unbudgeted path.
-    pub fn try_fit_with_exec(
+    ///
+    /// The fit materializes one dense `n × n` f64 mutual-reachability
+    /// matrix, so it first checks that matrix against `budget`: over
+    /// budget the caller gets a [`ScaleError`] to degrade on, before
+    /// anything is allocated (`None` disables the check). The matrix's
+    /// rows are built in parallel blocks on `exec`, one `dist` call per
+    /// ordered pair; per-row arithmetic is untouched and rows merge in
+    /// index order, so labels are bit-identical at every thread count
+    /// (Prim's edge selection itself stays sequential: each step consumes
+    /// the previous one's tree).
+    pub fn fit(
         &self,
         n: usize,
         dist: impl Fn(usize, usize) -> f64 + Sync,
@@ -114,69 +102,13 @@ impl Hdbscan {
         budget: Option<u64>,
     ) -> Result<Vec<isize>, ScaleError> {
         check_budget("hdbscan mutual-reachability matrix", dense_matrix_bytes(n), budget)?;
-        Ok(self.fit_with_exec_unchecked(n, dist, exec))
-    }
-
-    fn fit_with_exec_unchecked(
-        &self,
-        n: usize,
-        dist: impl Fn(usize, usize) -> f64 + Sync,
-        exec: &Executor,
-    ) -> Vec<isize> {
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 {
-            return vec![NOISE];
+        if n <= 1 {
+            return Ok(vec![NOISE; n]);
         }
         let mcs = self.config.min_cluster_size.max(2);
         let min_samples = self.config.min_samples.unwrap_or(mcs).max(1).min(n);
-
-        // 1-3. Distances, core distances and mutual reachability in one
-        // n×n matrix, built in parallel row blocks with one `dist` call
-        // per ordered pair.
         let mreach = mutual_reachability(n, &dist, min_samples, exec);
-        labels_from_mutual_reachability(n, &mreach, mcs, self.config.allow_single_cluster)
-    }
-
-    /// Clusters points under Euclidean distance.
-    ///
-    /// The full pairwise matrix is materialized once up front (same
-    /// per-pair arithmetic as before, each pair computed a single time)
-    /// instead of re-deriving distances on the fly inside core-distance
-    /// and MST construction, which visits every pair more than once.
-    pub fn fit_points(&self, points: &[Vec<f32>]) -> Vec<isize> {
-        self.fit_points_with(points, &Executor::single())
-    }
-
-    /// [`Hdbscan::fit_points`] with the pairwise matrix, core distances
-    /// and mutual-reachability build scheduled over `PointMatrix` row
-    /// blocks on `exec`. Bit-identical to the serial path at every
-    /// thread count.
-    pub fn fit_points_with(&self, points: &[Vec<f32>], exec: &Executor) -> Vec<isize> {
-        self.try_fit_points_with(points, exec, None).expect("no budget")
-    }
-
-    /// [`Hdbscan::fit_points_with`] behind the memory budget. The point
-    /// interface materializes *two* dense `n × n` f64 matrices (pairwise
-    /// distances here, mutual reachability inside the fit), so the check
-    /// covers both before either is allocated; over budget, the caller
-    /// gets a [`ScaleError`] and decides how to degrade — same labels as
-    /// the unbudgeted path whenever the budget passes.
-    pub fn try_fit_points_with(
-        &self,
-        points: &[Vec<f32>],
-        exec: &Executor,
-        budget: Option<u64>,
-    ) -> Result<Vec<isize>, ScaleError> {
-        let n = points.len();
-        check_budget(
-            "hdbscan pairwise + mutual-reachability matrices",
-            dense_matrix_bytes(n).saturating_mul(2),
-            budget,
-        )?;
-        let pd = pairwise_euclidean_with(&PointMatrix::from_rows(points), exec);
-        Ok(self.fit_with_exec(n, |a, b| pd[a * n + b], exec))
+        Ok(labels_from_mutual_reachability(n, &mreach, mcs, self.config.allow_single_cluster))
     }
 }
 
@@ -463,6 +395,13 @@ fn extract_eom(n: usize, condensed: &[CondensedEdge], allow_single_cluster: bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::euclidean;
+
+    /// Clusters points under Euclidean distance, unbudgeted.
+    fn cluster_points(h: &Hdbscan, points: &[Vec<f32>], exec: &Executor) -> Vec<isize> {
+        let dist = |a: usize, b: usize| euclidean(&points[a], &points[b]);
+        h.fit(points.len(), dist, exec, None).expect("no budget")
+    }
 
     fn blob(center: (f32, f32), k: usize, spread: f32) -> Vec<Vec<f32>> {
         // Deterministic ring of points around the center.
@@ -480,8 +419,9 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs() {
         let h = Hdbscan::default();
-        assert!(h.fit_points(&[]).is_empty());
-        assert_eq!(h.fit_points(&[vec![1.0, 2.0]]), vec![NOISE]);
+        let single = Executor::single();
+        assert!(cluster_points(&h, &[], &single).is_empty());
+        assert_eq!(cluster_points(&h, &[vec![1.0, 2.0]], &single), vec![NOISE]);
     }
 
     #[test]
@@ -493,59 +433,40 @@ mod tests {
         pts.push(vec![100.0, -50.0]);
         pts.push(vec![-80.0, 60.0]);
         let h = Hdbscan::new(HdbscanConfig { min_cluster_size: 4, ..Default::default() });
-        let base = h.fit_points(&pts);
+        let base = cluster_points(&h, &pts, &Executor::single());
         for threads in [2, 4, 8] {
             let exec = Executor::new(threads);
-            assert_eq!(h.fit_points_with(&pts, &exec), base, "threads={threads}");
+            assert_eq!(cluster_points(&h, &pts, &exec), base, "threads={threads}");
         }
     }
 
     #[test]
-    fn budgeted_fit_degrades_to_a_scale_error_instead_of_allocating() {
-        let pts = blob((0.0, 0.0), 32, 0.05);
-        let h = Hdbscan::default();
-        // 32 points → two 32×32 f64 matrices = 16 KiB; a 1 KiB budget
-        // must refuse before allocating either.
-        let err = h.try_fit_points_with(&pts, &Executor::single(), Some(1024)).unwrap_err();
-        assert_eq!(err.needed_bytes, 2 * 32 * 32 * 8);
-        assert_eq!(err.budget_bytes, 1024);
-        // A budget that fits changes nothing: labels bit-identical to
-        // the unbudgeted path at several thread counts.
-        let base = h.fit_points(&pts);
-        for threads in [1, 2, 4] {
-            let exec = Executor::new(threads);
-            let labels = h.try_fit_points_with(&pts, &exec, Some(1 << 20)).unwrap();
-            assert_eq!(labels, base, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn budgeted_fit_with_exec_checks_the_mutual_reachability_matrix() {
+    fn budgeted_fit_checks_the_mutual_reachability_matrix() {
         let pts = blob((0.0, 0.0), 24, 0.05);
         let n = pts.len();
-        let dist = |a: usize, b: usize| {
-            let dx = (pts[a][0] - pts[b][0]) as f64;
-            let dy = (pts[a][1] - pts[b][1]) as f64;
-            (dx * dx + dy * dy).sqrt()
-        };
+        let dist = |a: usize, b: usize| euclidean(&pts[a], &pts[b]);
         let h = Hdbscan::default();
         // One 24×24 f64 matrix = 4608 bytes; a budget one byte short
-        // must refuse, the exact budget must pass (inclusive boundary).
-        let err =
-            h.try_fit_with_exec(n, dist, &Executor::single(), Some(24 * 24 * 8 - 1)).unwrap_err();
+        // must refuse before allocating, the exact budget must pass
+        // (inclusive boundary).
+        let err = h.fit(n, dist, &Executor::single(), Some(24 * 24 * 8 - 1)).unwrap_err();
         assert_eq!(err.needed_bytes, 24 * 24 * 8);
-        let base = h.fit_with_exec(n, dist, &Executor::single());
-        let budgeted =
-            h.try_fit_with_exec(n, dist, &Executor::single(), Some(24 * 24 * 8)).unwrap();
-        assert_eq!(budgeted, base);
+        assert_eq!(err.budget_bytes, 24 * 24 * 8 - 1);
+        // A budget that fits changes nothing: labels bit-identical to
+        // the unbudgeted path at several thread counts.
+        let base = h.fit(n, dist, &Executor::single(), None).unwrap();
+        for threads in [1, 2, 4] {
+            let budgeted = h.fit(n, dist, &Executor::new(threads), Some(24 * 24 * 8)).unwrap();
+            assert_eq!(budgeted, base, "threads={threads}");
+        }
     }
 
     #[test]
     fn two_well_separated_blobs() {
         let mut pts = blob((0.0, 0.0), 8, 0.05);
         pts.extend(blob((10.0, 10.0), 8, 0.05));
-        let labels = Hdbscan::new(HdbscanConfig { min_cluster_size: 3, ..Default::default() })
-            .fit_points(&pts);
+        let h = Hdbscan::new(HdbscanConfig { min_cluster_size: 3, ..Default::default() });
+        let labels = cluster_points(&h, &pts, &Executor::single());
         let a = labels[0];
         let b = labels[8];
         assert_ne!(a, NOISE);
@@ -560,8 +481,8 @@ mod tests {
         let mut pts = blob((0.0, 0.0), 10, 0.05);
         pts.extend(blob((10.0, 0.0), 10, 0.05));
         pts.push(vec![500.0, 500.0]);
-        let labels = Hdbscan::new(HdbscanConfig { min_cluster_size: 4, ..Default::default() })
-            .fit_points(&pts);
+        let h = Hdbscan::new(HdbscanConfig { min_cluster_size: 4, ..Default::default() });
+        let labels = cluster_points(&h, &pts, &Executor::single());
         assert_eq!(*labels.last().expect("non-empty"), NOISE, "{labels:?}");
         assert!(labels[..10].iter().all(|&l| l != NOISE));
     }
@@ -576,7 +497,7 @@ mod tests {
             vec![50.1, 50.0],
             vec![-80.0, 90.0], // loner
         ];
-        let labels = Hdbscan::default().fit_points(&pts);
+        let labels = cluster_points(&Hdbscan::default(), &pts, &Executor::single());
         assert_eq!(labels[0], labels[1]);
         assert_eq!(labels[2], labels[3]);
         assert_ne!(labels[0], labels[2]);
@@ -588,7 +509,7 @@ mod tests {
     fn all_identical_points_single_cluster_when_allowed() {
         let pts = vec![vec![1.0, 1.0]; 6];
         let cfg = HdbscanConfig { allow_single_cluster: true, ..Default::default() };
-        let labels = Hdbscan::new(cfg).fit_points(&pts);
+        let labels = cluster_points(&Hdbscan::new(cfg), &pts, &Executor::single());
         assert!(labels.iter().all(|&l| l == 0), "{labels:?}");
     }
 
@@ -597,8 +518,8 @@ mod tests {
         let mut pts = blob((0.0, 0.0), 6, 0.1);
         pts.extend(blob((20.0, 0.0), 6, 0.1));
         pts.extend(blob((0.0, 20.0), 6, 0.1));
-        let labels = Hdbscan::new(HdbscanConfig { min_cluster_size: 3, ..Default::default() })
-            .fit_points(&pts);
+        let h = Hdbscan::new(HdbscanConfig { min_cluster_size: 3, ..Default::default() });
+        let labels = cluster_points(&h, &pts, &Executor::single());
         let distinct: std::collections::HashSet<_> =
             labels.iter().filter(|&&l| l != NOISE).collect();
         assert_eq!(distinct.len(), 3, "{labels:?}");
@@ -608,8 +529,8 @@ mod tests {
     fn labels_are_dense_from_zero() {
         let mut pts = blob((0.0, 0.0), 5, 0.1);
         pts.extend(blob((30.0, 0.0), 5, 0.1));
-        let labels = Hdbscan::new(HdbscanConfig { min_cluster_size: 3, ..Default::default() })
-            .fit_points(&pts);
+        let h = Hdbscan::new(HdbscanConfig { min_cluster_size: 3, ..Default::default() });
+        let labels = cluster_points(&h, &pts, &Executor::single());
         let mut seen: Vec<isize> = labels.iter().copied().filter(|&l| l != NOISE).collect();
         seen.sort_unstable();
         seen.dedup();
@@ -677,7 +598,7 @@ mod tests {
         };
         for threads in [1, 3] {
             calls.store(0, std::sync::atomic::Ordering::Relaxed);
-            let _ = Hdbscan::default().fit_with_exec(n, dist, &Executor::new(threads));
+            let _ = Hdbscan::default().fit(n, dist, &Executor::new(threads), None);
             assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), n * (n - 1));
         }
     }
@@ -724,7 +645,7 @@ mod tests {
                 let got = mutual_reachability(n, &dist, k, &exec);
                 proptest::prop_assert_eq!(bits(&got), bits(&want), "threads {}", threads);
                 proptest::prop_assert_eq!(
-                    Hdbscan::new(cfg.clone()).fit_with_exec(n, dist, &exec),
+                    Hdbscan::new(cfg.clone()).fit(n, dist, &exec, None).unwrap(),
                     labels_from_mutual_reachability(n, &want, mcs, cfg.allow_single_cluster),
                     "threads {}",
                     threads
@@ -741,7 +662,8 @@ mod tests {
             pos[a] - pos[b]
         };
         let labels = Hdbscan::new(HdbscanConfig { min_cluster_size: 3, ..Default::default() })
-            .fit_with(6, |a, b| d(a, b).abs());
+            .fit(6, |a, b| d(a, b).abs(), &Executor::single(), None)
+            .unwrap();
         assert_eq!(labels[0], labels[1]);
         assert_eq!(labels[1], labels[2]);
         assert_eq!(labels[3], labels[5]);

@@ -17,7 +17,7 @@
 //!   (union-find, merge list).
 //! * [`matrix`] — the contiguous row-major [`PointMatrix`], its
 //!   bit-keyed [`DistinctRows`] form, the 8-lane nearest-center kernel
-//!   of k-means and HDBSCAN's pairwise Euclidean construction
+//!   of k-means and a parallel pairwise Euclidean matrix build
 //!   (bit-identical to the naive paths).
 //!
 //! All entry points are deterministic given their seed.

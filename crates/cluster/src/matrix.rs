@@ -1,9 +1,9 @@
-//! Contiguous row-major feature matrices and the exact distance kernels
-//! shared by mini-batch k-means and HDBSCAN.
+//! Contiguous row-major feature matrices, the exact nearest-center
+//! kernel of mini-batch k-means and a pairwise Euclidean matrix build.
 //!
 //! The kernels here are *exactly* equivalent to their naive counterparts
-//! ([`crate::kmeans::sq_dist`] / [`crate::kmeans::nearest_center`] and the
-//! per-pair Euclidean closure HDBSCAN used to pass to `fit_with`): each
+//! ([`crate::kmeans::sq_dist`] / [`crate::kmeans::nearest_center`] and
+//! [`euclidean`] per pair): each
 //! point×center (or point×point) distance is accumulated dimension by
 //! dimension in the same order with the same float types, and ties resolve
 //! to the lowest index via the same strict `<` comparison.
@@ -14,7 +14,6 @@
 //! changes f32 rounding and would break the exact-equivalence contract;
 //! see DESIGN.md "Performance contract".)
 
-use crate::budget::{check_budget, dense_matrix_bytes, ScaleError};
 use std::collections::HashMap;
 
 /// Centers per pass of [`nearest_centers`]: one f32 accumulator each,
@@ -174,47 +173,23 @@ pub fn nearest_centers(points: &PointMatrix, rows: &[usize], centers: &[Vec<f32>
         .collect()
 }
 
-/// Full symmetric pairwise Euclidean distance matrix (`n × n`, row-major).
-///
-/// Each pair is computed once with the exact per-pair arithmetic HDBSCAN's
-/// point interface has always used — f32 subtraction widened to f64,
-/// squared, summed in dimension order, then `sqrt` — and mirrored
-/// (subtraction is sign-exact, so `d(a,b) == d(b,a)` bit for bit).
-pub fn pairwise_euclidean(points: &PointMatrix) -> Vec<f64> {
-    pairwise_euclidean_with(points, &matelda_exec::Executor::single())
-}
-
-/// [`pairwise_euclidean_with`] behind the memory budget: the `n × n`
-/// f64 matrix is only allocated if it fits, otherwise a structured
-/// [`ScaleError`] comes back before a byte is touched. All pairwise
-/// materializations route through here — the unbudgeted names are
-/// `budget: None` wrappers.
-pub fn try_pairwise_euclidean_with(
-    points: &PointMatrix,
-    exec: &matelda_exec::Executor,
-    budget: Option<u64>,
-) -> Result<Vec<f64>, ScaleError> {
-    check_budget("pairwise distance matrix", dense_matrix_bytes(points.n()), budget)?;
-    Ok(pairwise_euclidean_unchecked(points, exec))
-}
-
 /// Row-block size of the parallel pairwise build: big enough that a
 /// block's upper-triangle work dwarfs its merge cost, small enough that
 /// the executor's range stealing can rebalance the triangle's skew
 /// (early rows carry `n − i − 1` pairs, late rows almost none).
 const PAIRWISE_ROW_BLOCK: usize = 32;
 
-/// [`pairwise_euclidean`] scheduled over row blocks on `exec`.
+/// Full symmetric pairwise Euclidean distance matrix (`n × n`,
+/// row-major), built over row blocks on `exec`.
 ///
-/// Each block computes its rows' upper-triangle segments independently
-/// (per-pair arithmetic untouched), and the caller merges + mirrors in
-/// row order — so the matrix is bit-identical to the serial build at
-/// every thread count, which the proptests below pin.
+/// Each pair is computed once with [`euclidean`] — f32 subtraction
+/// widened to f64, squared, summed in dimension order, then `sqrt` — and
+/// mirrored (subtraction is sign-exact, so `d(a,b) == d(b,a)` bit for
+/// bit). Each block computes its rows' upper-triangle segments
+/// independently and the caller merges and mirrors in row order, so the
+/// matrix is bit-identical at every thread count, which the proptests
+/// below pin.
 pub fn pairwise_euclidean_with(points: &PointMatrix, exec: &matelda_exec::Executor) -> Vec<f64> {
-    try_pairwise_euclidean_with(points, exec, None).expect("no budget")
-}
-
-fn pairwise_euclidean_unchecked(points: &PointMatrix, exec: &matelda_exec::Executor) -> Vec<f64> {
     let n = points.n();
     if n == 0 {
         return Vec::new();
@@ -249,7 +224,7 @@ fn pairwise_euclidean_unchecked(points: &PointMatrix, exec: &matelda_exec::Execu
 }
 
 /// Euclidean distance with f64 accumulation over f32 coordinates — the
-/// per-pair arithmetic shared by HDBSCAN's distance construction.
+/// per-pair arithmetic of [`pairwise_euclidean_with`].
 pub fn euclidean(a: &[f32], b: &[f32]) -> f64 {
     assert_eq!(a.len(), b.len(), "euclidean: dimension mismatch ({} vs {})", a.len(), b.len());
     a.iter()
@@ -276,7 +251,7 @@ mod tests {
             .map(|i| vec![(i as f32).sin() * 10.0, (i as f32 * 0.7).cos() * 5.0, i as f32])
             .collect();
         let m = PointMatrix::from_rows(&pts);
-        let base = pairwise_euclidean(&m);
+        let base = pairwise_euclidean_with(&m, &matelda_exec::Executor::single());
         for threads in [2, 4, 8] {
             let exec = matelda_exec::Executor::new(threads);
             assert_eq!(pairwise_euclidean_with(&m, &exec), base, "threads={threads}");
@@ -391,7 +366,7 @@ mod tests {
         ) {
             let n = pts.len();
             let m = PointMatrix::from_rows(&pts);
-            let pd = pairwise_euclidean(&m);
+            let pd = pairwise_euclidean_with(&m, &matelda_exec::Executor::single());
             let reference = |a: usize, b: usize| {
                 pts[a]
                     .iter()

@@ -135,46 +135,20 @@ pub fn embed_table_for(
 
 /// Clusters an [`EmbeddedLake`] into domain folds (the second half of
 /// Step 1).
-pub fn folds_from_embedding(lake: &Lake, embedded: &EmbeddedLake) -> Vec<Fold> {
-    folds_from_embedding_excluding(lake, embedded, &[])
-}
-
-/// Like [`folds_from_embedding`] but with some tables excluded
-/// (quarantined by the engine's fault isolation). The survivors are
-/// clustered exactly as if the lake contained only them — pairwise
-/// distances and iteration order match a lake with the excluded tables
-/// deleted, so fold assignments do too — and the returned folds carry
-/// the survivors' *original* table indices.
-pub fn folds_from_embedding_excluding(
-    lake: &Lake,
-    embedded: &EmbeddedLake,
-    excluded: &[usize],
-) -> Vec<Fold> {
-    folds_from_embedding_excluding_with(lake, embedded, excluded, &Executor::single())
-}
-
-/// [`folds_from_embedding_excluding`] with HDBSCAN's pairwise-distance
-/// and core-distance construction parallelized over row blocks on
-/// `exec`. The fold assignments are bit-identical at every thread count
-/// (see [`Hdbscan::fit_with_exec`]); the engine passes its per-run
-/// executor here so clustering shares the pool with the other stages.
-pub fn folds_from_embedding_excluding_with(
-    lake: &Lake,
-    embedded: &EmbeddedLake,
-    excluded: &[usize],
-    exec: &Executor,
-) -> Vec<Fold> {
-    try_folds_from_embedding_excluding_with(lake, embedded, excluded, exec, None)
-        .expect("no budget")
-}
-
-/// [`folds_from_embedding_excluding_with`] behind a byte budget: HDBSCAN
-/// over `n` surviving tables materializes a dense `n × n` f64
-/// mutual-reachability matrix, and a budget that the matrix would blow
-/// surfaces as a structured [`ScaleError`] *before* the allocation
-/// instead of an OOM abort. `None` disables the check; within budget the
-/// folds are bit-identical to the unbudgeted path.
-pub fn try_folds_from_embedding_excluding_with(
+///
+/// Tables in `excluded` (quarantined by the engine's fault isolation)
+/// are left out: the survivors are clustered exactly as if the lake
+/// contained only them — pairwise distances and iteration order match a
+/// lake with the excluded tables deleted, so fold assignments do too —
+/// and the returned folds carry the survivors' *original* table indices.
+///
+/// HDBSCAN builds its mutual-reachability matrix over row blocks on
+/// `exec`, so the folds are bit-identical at every thread count (see
+/// [`Hdbscan::fit`]). Over `n` surviving tables that matrix is a dense
+/// `n × n` f64 allocation; a `budget` it would blow surfaces as a
+/// structured [`ScaleError`] *before* the allocation instead of an OOM
+/// abort. `None` disables the check.
+pub fn folds_from_embedding(
     lake: &Lake,
     embedded: &EmbeddedLake,
     excluded: &[usize],
@@ -194,7 +168,7 @@ pub fn try_folds_from_embedding_excluding_with(
             } else {
                 // Each table's norm once, not twice per distance call.
                 let norms: Vec<f32> = survivors.iter().map(|&t| norm(&vecs[t])).collect();
-                let labels = Hdbscan::new(HdbscanConfig::default()).try_fit_with_exec(
+                let labels = Hdbscan::new(HdbscanConfig::default()).fit(
                     n,
                     |a, b| {
                         let ab = dot(&vecs[survivors[a]], &vecs[survivors[b]]);
@@ -207,7 +181,7 @@ pub fn try_folds_from_embedding_excluding_with(
             }
         }
         EmbeddedLake::Unionability(sims) => {
-            let labels = Hdbscan::new(HdbscanConfig::default()).try_fit_with_exec(
+            let labels = Hdbscan::new(HdbscanConfig::default()).fit(
                 n,
                 |a, b| (1.0 - sims[survivors[a]][survivors[b]]).max(0.0),
                 exec,
@@ -243,8 +217,9 @@ pub fn domain_folds(
     encoder: &HashedEncoder,
     seed: u64,
 ) -> Vec<Fold> {
-    let embedded = embed_lake(lake, strategy, encoder, seed, &Executor::single());
-    folds_from_embedding(lake, &embedded)
+    let single = Executor::single();
+    let embedded = embed_lake(lake, strategy, encoder, seed, &single);
+    folds_from_embedding(lake, &embedded, &[], &single, None).expect("no budget")
 }
 
 /// [`cosine_distance`](matelda_embed::vector::cosine_distance) given the
@@ -569,13 +544,14 @@ mod tests {
         let exec = Executor::single();
         let embedded = embed_lake(&lake, DomainFolding::Hdbscan, &enc, 0, &exec);
         let excluded = [0usize, 3];
-        let folds = folds_from_embedding_excluding(&lake, &embedded, &excluded);
+        let folds = folds_from_embedding(&lake, &embedded, &excluded, &exec, None).unwrap();
 
         // The same clustering on a lake with those tables deleted.
         let projected =
             Lake::new(vec![lake.tables[1].clone(), lake.tables[2].clone(), lake.tables[4].clone()]);
         let proj_embedded = embed_lake(&projected, DomainFolding::Hdbscan, &enc, 0, &exec);
-        let proj_folds = folds_from_embedding(&projected, &proj_embedded);
+        let proj_folds =
+            folds_from_embedding(&projected, &proj_embedded, &[], &exec, None).unwrap();
 
         // Remap the projected indices back to the original lake's.
         let back = [1usize, 2, 4];
@@ -590,11 +566,12 @@ mod tests {
     fn excluding_down_to_one_or_zero_survivors() {
         let lake = mixed_lake();
         let enc = encoder();
-        let embedded = embed_lake(&lake, DomainFolding::Hdbscan, &enc, 0, &Executor::single());
-        let one = folds_from_embedding_excluding(&lake, &embedded, &[0, 1, 2, 3]);
+        let exec = Executor::single();
+        let embedded = embed_lake(&lake, DomainFolding::Hdbscan, &enc, 0, &exec);
+        let one = folds_from_embedding(&lake, &embedded, &[0, 1, 2, 3], &exec, None).unwrap();
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].tables(), vec![4]);
-        let none = folds_from_embedding_excluding(&lake, &embedded, &[0, 1, 2, 3, 4]);
+        let none = folds_from_embedding(&lake, &embedded, &[0, 1, 2, 3, 4], &exec, None).unwrap();
         assert!(none.is_empty());
     }
 
@@ -634,21 +611,20 @@ mod tests {
             let want: Vec<Fold> = if n < 2 {
                 survivors.iter().map(|&t| Fold { columns: vec![(t, 0)] }).collect()
             } else {
-                let labels = Hdbscan::new(HdbscanConfig::default()).fit_with(n, |a, b| {
+                let dist = |a: usize, b: usize| {
                     f64::from(cosine_distance(&vecs[survivors[a]], &vecs[survivors[b]]))
-                });
+                };
+                let labels = Hdbscan::new(HdbscanConfig::default())
+                    .fit(n, dist, &Executor::single(), None)
+                    .unwrap();
                 groups_from_labels(&labels, n)
                     .into_iter()
                     .map(|g| Fold { columns: g.iter().map(|&l| (survivors[l], 0)).collect() })
                     .collect()
             };
             for threads in [1, 3] {
-                let got = folds_from_embedding_excluding_with(
-                    &lake,
-                    &embedded,
-                    &excluded,
-                    &Executor::new(threads),
-                );
+                let exec = Executor::new(threads);
+                let got = folds_from_embedding(&lake, &embedded, &excluded, &exec, None).unwrap();
                 proptest::prop_assert_eq!(&got, &want, "threads {}", threads);
             }
         }

@@ -31,10 +31,14 @@
 //!
 //! ## Fault isolation
 //!
-//! Under [`crate::pipeline::FaultPolicy::Skip`] the
-//! four hot paths run on [`Executor::try_map`], which converts a panic in
-//! one work item into a per-index fault instead of killing the run. Each
-//! stage then degrades by its contract:
+//! The four hot paths run through one private primitive,
+//! `StageContext::map_or_degrade`: it maps the work on
+//! [`Executor::try_map_n`] under the stage deadline, which converts a
+//! panic in one work item into a per-index fault instead of killing the
+//! run, gives each faulted index its stage's fallback in index order and
+//! hands the faults to [`StageContext::note_faults`] once. Under
+//! [`crate::pipeline::FaultPolicy::Skip`] each stage then degrades by
+//! its contract:
 //!
 //! * **embed / featurize** — the faulted *table* is quarantined: removed
 //!   from domain folding and classification, its cells left unscored.
@@ -67,7 +71,7 @@
 //! sleeps.
 
 use crate::domain_fold::{
-    embed_table_for, refine_syntactic, try_folds_from_embedding_excluding_with, DomainFolding, Fold,
+    embed_table_for, folds_from_embedding, refine_syntactic, DomainFolding, Fold,
 };
 use crate::pipeline::{FaultPolicy, LabelingStrategy, MateldaConfig, TrainingStrategy};
 use crate::quality_fold::{budget_per_fold, quality_folds, single_quality_fold, QualityFold};
@@ -278,41 +282,62 @@ impl<'a> StageContext<'a> {
         }
     }
 
-    /// Maps `f` over every table on the executor, fault-isolated and
-    /// under the stage's watchdog deadline. `f` reads its table through
-    /// [`StageContext::table`] inside its own work item, so a columnar
-    /// source has at most `executor.threads()` tables resident. A faulted
-    /// table is quarantined and its slot holds `placeholder(ti)`; so is
-    /// a table whose storage failed, which is no fault — the lowest-index
-    /// failure waits for [`StageContext::storage_failure`].
+    /// Maps `f` over `0..n` on the executor, fault-isolated and under the
+    /// stage's watchdog deadline, then applies the fault policy: each
+    /// faulted index, in index order, takes `degrade(self, i)` as its
+    /// value, and the faults go to [`StageContext::note_faults`] in one
+    /// batch (which aborts the run under [`FaultPolicy::Fail`]).
+    fn map_or_degrade<R: Send>(
+        &mut self,
+        stage: &str,
+        n: usize,
+        f: impl Fn(&Self, usize) -> R + Sync,
+        mut degrade: impl FnMut(&mut Self, usize) -> R,
+    ) -> Vec<R> {
+        let this = &*self;
+        let results = this.executor.try_map_n(stage, n, this.deadline, |i| f(this, i));
+        let mut faults = Vec::new();
+        let out = results
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| {
+                r.unwrap_or_else(|fault| {
+                    faults.push(fault);
+                    degrade(self, i)
+                })
+            })
+            .collect();
+        self.note_faults(faults);
+        out
+    }
+
+    /// [`StageContext::map_or_degrade`] over every table. `f` reads its
+    /// table through [`StageContext::table`] inside its own work item, so
+    /// a columnar source has at most `executor.threads()` tables
+    /// resident. A faulted table is quarantined and its slot holds
+    /// `placeholder(ti)`; so is a table whose storage failed, which is no
+    /// fault — the lowest-index failure waits for
+    /// [`StageContext::storage_failure`].
     fn map_tables<R: Send>(
         &mut self,
         stage: &str,
         placeholder: impl Fn(usize) -> R,
         f: impl Fn(&Self, usize) -> Result<R, ChunkedError> + Sync,
     ) -> Vec<R> {
-        let this = &*self;
-        let results =
-            this.executor
-                .try_map_n_within(stage, this.lake.n_tables(), this.deadline, |ti| f(this, ti));
-        let mut out = Vec::with_capacity(results.len());
-        let mut faults = Vec::new();
-        for (ti, r) in results.into_iter().enumerate() {
-            match r {
-                Ok(Ok(v)) => out.push(v),
-                Ok(Err(e)) => {
+        let results = self.map_or_degrade(stage, self.lake.n_tables(), f, |ctx, ti| {
+            ctx.quarantine_table(ti);
+            Ok(placeholder(ti))
+        });
+        results
+            .into_iter()
+            .enumerate()
+            .map(|(ti, r)| {
+                r.unwrap_or_else(|e| {
                     self.storage_error.get_or_insert(e);
-                    out.push(placeholder(ti));
-                }
-                Err(fault) => {
-                    faults.push(fault);
-                    self.quarantine_table(ti);
-                    out.push(placeholder(ti));
-                }
-            }
-        }
-        self.note_faults(faults);
-        out
+                    placeholder(ti)
+                })
+            })
+            .collect()
     }
 
     /// Takes the storage failure of the last per-table stage, if any.
@@ -562,6 +587,12 @@ impl Stage for EmbedStage {
     }
 }
 
+/// Column groups per domain fold under `+SF`: the paper's refinement
+/// separates columns by type, character distribution and length
+/// signature, which yields many small groups; 8 per fold realizes that
+/// granularity.
+const SYNTACTIC_GROUPS: usize = 8;
+
 /// Clusters the embedding into domain folds and applies the optional
 /// `+SF` syntactic refinement.
 pub struct DomainFoldStage;
@@ -584,7 +615,7 @@ impl Stage for DomainFoldStage {
         // Quarantined tables are excluded *before* clustering, so the
         // survivors fold exactly as they would in a lake without the
         // quarantined tables.
-        let mut folds = match try_folds_from_embedding_excluding_with(
+        let mut folds = match folds_from_embedding(
             ctx.lake,
             embedded,
             &ctx.quarantine.tables,
@@ -597,29 +628,15 @@ impl Stage for DomainFoldStage {
                 // (aborts under `FaultPolicy::Fail`) and degrade to
                 // extreme domain folding: one fold of all surviving
                 // tables, which allocates nothing quadratic.
-                ctx.note_faults(vec![ItemFault {
-                    stage: self.name().into(),
-                    index: 0,
-                    message: scale_err.to_string(),
-                }]);
+                ctx.note_faults(vec![ItemFault::new(self.name(), 0, scale_err.to_string())]);
                 stage.metrics.push(("budget_degraded".into(), 1.0));
-                let survivors: Vec<usize> = (0..ctx.lake.n_tables())
-                    .filter(|t| !ctx.quarantine.tables.contains(t))
-                    .collect();
-                if survivors.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![Fold {
-                        columns: survivors
-                            .iter()
-                            .flat_map(|&t| (0..ctx.lake[t].n_cols()).map(move |c| (t, c)))
-                            .collect(),
-                    }]
-                }
+                let trivial = &EmbeddedLake::Trivial;
+                folds_from_embedding(ctx.lake, trivial, &ctx.quarantine.tables, &ctx.executor, None)
+                    .expect("no budget")
             }
         };
         if cfg.syntactic_refinement {
-            folds = refine_syntactic(ctx.lake, folds, cfg.syntactic_groups);
+            folds = refine_syntactic(ctx.lake, folds, SYNTACTIC_GROUPS);
         }
         stage.items = ctx.lake.n_tables() as u64;
         stage.metrics.push(("folds".into(), folds.len() as f64));
@@ -716,19 +733,20 @@ impl Stage for QualityFoldStage {
         // they may spend no labels, so clustering them buys nothing —
         // and since they spend nothing, they have no fault point either
         // (a fallback fold would overspend the budget).
-        let per_fold: Vec<Result<Vec<QualityFoldEntry>, ItemFault>> =
-            ctx.executor.try_map_n_within(self.name(), domain.folds.len(), ctx.deadline, |fi| {
+        let per_fold = ctx.map_or_degrade(
+            self.name(),
+            domain.folds.len(),
+            |ctx, fi| {
                 let k = budgets[fi] * fold_multiplier;
                 if k == 0 {
                     return Vec::new();
                 }
                 faultpoint::hit("quality_folds", fi);
-                let seed = cfg.seed ^ (fi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 let kmeans = MiniBatchKMeansConfig {
                     k,
                     batch_size: cfg.kmeans_batch,
                     iterations: cfg.kmeans_iterations,
-                    seed,
+                    seed: ctx.seed_for(fi),
                 };
                 let mut qfolds = quality_folds(
                     ctx.lake,
@@ -755,33 +773,26 @@ impl Stage for QualityFoldStage {
                     .zip(labeled)
                     .map(|(fold, labeled)| QualityFoldEntry { domain_fold: fi, fold, labeled })
                     .collect()
-            });
-        let mut entries: Vec<QualityFoldEntry> = Vec::new();
-        let mut faults = Vec::new();
-        for (fi, r) in per_fold.into_iter().enumerate() {
-            match r {
-                Ok(v) => entries.extend(v),
-                Err(fault) => {
-                    faults.push(fault);
-                    // Degrade: the whole domain fold as one labeled
-                    // quality fold around the mean feature vector — but
-                    // only when this fold may spend a label. A panic
-                    // fault implies `budgets[fi] >= 1` (the fault point
-                    // sits after the zero-budget check); a watchdog
-                    // deadline can pre-empt a zero-budget item too, and
-                    // a fallback fold there would overspend the budget.
-                    if budgets[fi] > 0 {
-                        if let Some(fold) =
-                            single_quality_fold(ctx.lake, &domain.folds[fi], &featurized.features)
-                        {
-                            entries.push(QualityFoldEntry { domain_fold: fi, fold, labeled: true });
-                        }
-                    }
-                    ctx.quarantine.fold_fallbacks.push(fi);
+            },
+            |ctx, fi| {
+                ctx.quarantine.fold_fallbacks.push(fi);
+                // Degrade: the whole domain fold as one labeled quality
+                // fold around the mean feature vector — but only when
+                // this fold may spend a label. A panic fault implies
+                // `budgets[fi] >= 1` (the fault point sits after the
+                // zero-budget check); a watchdog deadline can pre-empt a
+                // zero-budget item too, and a fallback fold there would
+                // overspend the budget.
+                if budgets[fi] == 0 {
+                    return Vec::new();
                 }
-            }
-        }
-        ctx.note_faults(faults);
+                single_quality_fold(ctx.lake, &domain.folds[fi], &featurized.features)
+                    .map(|fold| QualityFoldEntry { domain_fold: fi, fold, labeled: true })
+                    .into_iter()
+                    .collect()
+            },
+        );
+        let entries: Vec<QualityFoldEntry> = per_fold.into_iter().flatten().collect();
 
         stage.items = entries.iter().map(|e| e.fold.cells.len() as u64).sum();
         stage.metrics.push(("folds_formed".into(), entries.len() as f64));
@@ -795,12 +806,6 @@ impl Stage for QualityFoldStage {
         QualityFolds { entries, budgets }
     }
 }
-
-/// Below this many anchor-selection items *per thread*, the label
-/// stage's executor map runs inline instead of spawning workers (see
-/// [`Executor::with_inline_threshold`]): at the bench scale the stage
-/// maps ~38 folds and parallel scheduling overhead outweighs the work.
-const LABEL_INLINE_THRESHOLD: usize = 32;
 
 /// The labels Step 2 plans for: the whole `budget`, or half of it when
 /// [`LabelingStrategy::UncertaintyRefinement`] (with per-column training
@@ -850,17 +855,11 @@ impl Stage for LabelStage<'_> {
 
         // Anchor selection is pure — run it on the executor. The
         // accessor hands `sample` borrowed feature slices: scanning a
-        // fold's members allocates nothing. The map is tiny (one item
-        // per labeled fold — tens of items, each microseconds of work),
-        // so thread spawn/join overhead dominates: opt in to the
-        // small-batch serial fallback below `LABEL_INLINE_THRESHOLD`
-        // items per thread. Output is bit-identical either way.
+        // fold's members allocates nothing.
         let labeled_entries: Vec<&QualityFoldEntry> =
             quality.entries.iter().filter(|e| e.labeled).collect();
         let anchors: Vec<CellId> = ctx
             .executor
-            .clone()
-            .with_inline_threshold(LABEL_INLINE_THRESHOLD)
             .map(&labeled_entries, |_, e| e.fold.sample(&|id: CellId| featurized.of(id)));
 
         let mut labeled_folds: Vec<LabeledFold> = Vec::new();
@@ -905,8 +904,13 @@ impl Stage for LabelStage<'_> {
     }
 }
 
-/// Trains the Step-5 classifiers (parallel per column or per domain
-/// fold) and merges their predictions in index order.
+/// Trains the Step-5 classifiers, one per *group* of columns, and merges
+/// their predictions in group order. A group is a single column under
+/// [`TrainingStrategy::PerColumn`] (the paper's default; quarantined
+/// tables' columns get no model and stay unflagged) and a domain fold's
+/// columns under TPDF / TUCF (folds never contain quarantined tables —
+/// they were excluded before clustering). A group whose model faults
+/// falls back to its propagated labels for all its columns.
 pub struct ClassifyStage;
 
 impl Stage for ClassifyStage {
@@ -923,17 +927,64 @@ impl Stage for ClassifyStage {
         (domain, featurized, propagated): (&DomainFolds, &FeaturizedLake, &PropagatedLabels),
         stage: &mut StageReport,
     ) -> Predictions {
-        let (mask, faults, fallback_cols) = match ctx.config.training {
-            TrainingStrategy::PerColumn => {
-                train_per_column(ctx, featurized, &propagated.labels, stage)
-            }
+        let lake = ctx.lake;
+        let labels = &propagated.labels;
+        let columns: Vec<(usize, usize)> = lake
+            .tables
+            .iter()
+            .enumerate()
+            .filter(|&(t, _)| !ctx.quarantine.table_quarantined(t))
+            .flat_map(|(t, table)| (0..table.n_cols()).map(move |c| (t, c)))
+            .collect();
+        let groups: Vec<&[(usize, usize)]> = match ctx.config.training {
+            TrainingStrategy::PerColumn => columns.chunks(1).collect(),
             TrainingStrategy::PerDomainFold | TrainingStrategy::UnlabeledCellFolds => {
-                train_per_fold(ctx, featurized, &propagated.labels, &domain.folds, stage)
+                domain.folds.iter().map(|f| f.columns.as_slice()).collect()
             }
         };
-        ctx.quarantine.columns.extend(fallback_cols);
-        ctx.note_faults(faults);
-        stage.items = ctx.lake.n_cells() as u64;
+        stage.metrics.push(("models".into(), groups.len() as f64));
+        // Per group, the flagged rows of each of its columns.
+        let flagged: Vec<Vec<Vec<usize>>> = ctx.map_or_degrade(
+            self.name(),
+            groups.len(),
+            |ctx, i| {
+                faultpoint::hit("classify", i);
+                let model = fit_group(ctx, featurized, labels, groups[i]);
+                let rows = groups[i]
+                    .iter()
+                    .map(|&(t, c)| {
+                        (0..lake[t].n_rows())
+                            .filter(|&r| model.predict(featurized.features[t].get(r, c)))
+                            .collect()
+                    })
+                    .collect();
+                ctx.obs.counter_add(fit_counter(&model), 1);
+                rows
+            },
+            |ctx, i| {
+                // The label-propagation verdict stands in for the model
+                // that could not be trained.
+                ctx.quarantine.columns.extend_from_slice(groups[i]);
+                groups[i]
+                    .iter()
+                    .map(|&(t, c)| {
+                        let m = lake[t].n_cols();
+                        (0..lake[t].n_rows())
+                            .filter(|&r| labels[t][r * m + c] == Some(true))
+                            .collect()
+                    })
+                    .collect()
+            },
+        );
+        let mut mask = CellMask::empty(lake);
+        for (group, rows) in groups.iter().zip(flagged) {
+            for (&(t, c), rows) in group.iter().zip(rows) {
+                for r in rows {
+                    mask.set(CellId::new(t, r, c), true);
+                }
+            }
+        }
+        stage.items = lake.n_cells() as u64;
         stage.metrics.push(("flagged".into(), mask.count() as f64));
         Predictions { mask }
     }
@@ -953,7 +1004,9 @@ pub(crate) fn fit_column_models(
         .enumerate()
         .flat_map(|(t, table)| (0..table.n_cols()).map(move |c| (t, c)))
         .collect();
-    let models = ctx.executor.map(&columns, |_, &(t, c)| fit_column(ctx, featurized, labels, t, c));
+    let models = ctx
+        .executor
+        .map(&columns, |_, col| fit_group(ctx, featurized, labels, std::slice::from_ref(col)));
     // Re-nest the flat, index-ordered model list per table.
     let mut nested: Vec<Vec<FittedClassifier>> = lake.tables.iter().map(|_| Vec::new()).collect();
     for ((t, _), model) in columns.into_iter().zip(models) {
@@ -962,75 +1015,26 @@ pub(crate) fn fit_column_models(
     nested
 }
 
-/// Fits column `(t, c)`'s model on its labeled cells.
-fn fit_column(
+/// Fits one model on the labeled cells of `columns`, gathered column by
+/// column in row order.
+fn fit_group(
     ctx: &StageContext<'_>,
     featurized: &FeaturizedLake,
     labels: &[Vec<Option<bool>>],
-    t: usize,
-    c: usize,
+    columns: &[(usize, usize)],
 ) -> FittedClassifier {
-    let m = ctx.lake[t].n_cols();
     let mut x = Vec::new();
     let mut y = Vec::new();
-    for r in 0..ctx.lake[t].n_rows() {
-        if let Some(lab) = labels[t][r * m + c] {
-            x.push(featurized.features[t].get(r, c).to_vec());
-            y.push(lab);
+    for &(t, c) in columns {
+        let m = ctx.lake[t].n_cols();
+        for r in 0..ctx.lake[t].n_rows() {
+            if let Some(lab) = labels[t][r * m + c] {
+                x.push(featurized.features[t].get(r, c).to_vec());
+                y.push(lab);
+            }
         }
     }
     FittedClassifier::fit_with(&ctx.config.classifier, &x, &y, &ctx.executor)
-}
-
-/// One classifier per column (the paper's default), trained in parallel
-/// with predictions merged in `(table, column)` order. Quarantined
-/// tables' columns get no model and stay unflagged; a column whose
-/// training or prediction faults falls back to its propagated labels.
-/// Returns the mask plus the faults and fallback columns for the caller
-/// to apply to the context.
-fn train_per_column(
-    ctx: &StageContext<'_>,
-    featurized: &FeaturizedLake,
-    labels: &[Vec<Option<bool>>],
-    stage: &mut StageReport,
-) -> (CellMask, Vec<ItemFault>, Vec<(usize, usize)>) {
-    let lake = ctx.lake;
-    let columns: Vec<(usize, usize)> = lake
-        .tables
-        .iter()
-        .enumerate()
-        .filter(|&(t, _)| !ctx.quarantine.table_quarantined(t))
-        .flat_map(|(t, table)| (0..table.n_cols()).map(move |c| (t, c)))
-        .collect();
-    stage.metrics.push(("models".into(), columns.len() as f64));
-    let flagged: Vec<Result<(Vec<usize>, &str), ItemFault>> =
-        ctx.executor.try_map_within("classify", &columns, ctx.deadline, |i, &(t, c)| {
-            faultpoint::hit("classify", i);
-            let model = fit_column(ctx, featurized, labels, t, c);
-            let rows = (0..lake[t].n_rows())
-                .filter(|&r| model.predict(featurized.features[t].get(r, c)))
-                .collect();
-            (rows, fit_counter(&model))
-        });
-    let mut predicted = CellMask::empty(lake);
-    let mut faults = Vec::new();
-    let mut fallback_cols = Vec::new();
-    for (&(t, c), result) in columns.iter().zip(flagged) {
-        match result {
-            Ok((rows, counter)) => {
-                ctx.obs.counter_add(counter, 1);
-                for r in rows {
-                    predicted.set(CellId::new(t, r, c), true);
-                }
-            }
-            Err(fault) => {
-                faults.push(fault);
-                fallback_cols.push((t, c));
-                flag_propagated(lake, labels, t, c, &mut predicted);
-            }
-        }
-    }
-    (predicted, faults, fallback_cols)
 }
 
 /// The obs counter one classify work item's model lands in:
@@ -1048,87 +1052,6 @@ fn fit_counter(model: &FittedClassifier) -> &'static str {
     } else {
         "classify.exact_fits"
     }
-}
-
-/// The classifier fallback: flag exactly the cells of `(t, c)` whose
-/// propagated label says "erroneous" — the label-propagation verdict
-/// stands in for the model that could not be trained.
-fn flag_propagated(
-    lake: &Lake,
-    labels: &[Vec<Option<bool>>],
-    t: usize,
-    c: usize,
-    predicted: &mut CellMask,
-) {
-    let m = lake[t].n_cols();
-    for r in 0..lake[t].n_rows() {
-        if labels[t][r * m + c] == Some(true) {
-            predicted.set(CellId::new(t, r, c), true);
-        }
-    }
-}
-
-/// One classifier per domain fold (TPDF / TUCF), trained in parallel
-/// with predictions merged in fold order. Folds never contain
-/// quarantined tables (they were excluded before clustering); a fold
-/// whose model faults falls back to propagated labels for all its
-/// columns.
-fn train_per_fold(
-    ctx: &StageContext<'_>,
-    featurized: &FeaturizedLake,
-    labels: &[Vec<Option<bool>>],
-    folds: &[Fold],
-    stage: &mut StageReport,
-) -> (CellMask, Vec<ItemFault>, Vec<(usize, usize)>) {
-    let lake = ctx.lake;
-    stage.metrics.push(("models".into(), folds.len() as f64));
-    let flagged: Vec<Result<(Vec<CellId>, &str), ItemFault>> =
-        ctx.executor.try_map_n_within("classify", folds.len(), ctx.deadline, |fi| {
-            faultpoint::hit("classify", fi);
-            let fold = &folds[fi];
-            let mut x = Vec::new();
-            let mut y = Vec::new();
-            for &(t, c) in &fold.columns {
-                let m = lake[t].n_cols();
-                for r in 0..lake[t].n_rows() {
-                    if let Some(lab) = labels[t][r * m + c] {
-                        x.push(featurized.features[t].get(r, c).to_vec());
-                        y.push(lab);
-                    }
-                }
-            }
-            let model = FittedClassifier::fit_with(&ctx.config.classifier, &x, &y, &ctx.executor);
-            let mut ids = Vec::new();
-            for &(t, c) in &fold.columns {
-                for r in 0..lake[t].n_rows() {
-                    if model.predict(featurized.features[t].get(r, c)) {
-                        ids.push(CellId::new(t, r, c));
-                    }
-                }
-            }
-            (ids, fit_counter(&model))
-        });
-    let mut predicted = CellMask::empty(lake);
-    let mut faults = Vec::new();
-    let mut fallback_cols = Vec::new();
-    for (fi, result) in flagged.into_iter().enumerate() {
-        match result {
-            Ok((ids, counter)) => {
-                ctx.obs.counter_add(counter, 1);
-                for id in ids {
-                    predicted.set(id, true);
-                }
-            }
-            Err(fault) => {
-                faults.push(fault);
-                for &(t, c) in &folds[fi].columns {
-                    fallback_cols.push((t, c));
-                    flag_propagated(lake, labels, t, c, &mut predicted);
-                }
-            }
-        }
-    }
-    (predicted, faults, fallback_cols)
 }
 
 /// The uncertainty-refinement phase (see

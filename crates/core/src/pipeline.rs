@@ -82,8 +82,6 @@ pub struct MateldaConfig {
     pub domain_folding: DomainFolding,
     /// Apply the `+SF` column-level refinement after Step 1.
     pub syntactic_refinement: bool,
-    /// Column groups per domain fold when `+SF` is on.
-    pub syntactic_groups: usize,
     /// Detector families for the unified feature space (NOD/NTD/NRVD).
     pub features: FeatureConfig,
     /// Step 5 training strategy.
@@ -130,10 +128,6 @@ impl Default for MateldaConfig {
         Self {
             domain_folding: DomainFolding::Hdbscan,
             syntactic_refinement: false,
-            // Fine-grained: the paper's +SF separates columns by type,
-            // character distribution and length signature, which yields
-            // many small groups; 8 per fold realizes that granularity.
-            syntactic_groups: 8,
             features: FeatureConfig::default(),
             training: TrainingStrategy::PerColumn,
             encoder: EncoderConfig::default(),
@@ -283,7 +277,6 @@ fn config_hash(cfg: &MateldaConfig) -> u64 {
     for part in [
         format!("{:?}", cfg.domain_folding),
         format!("{:?}", cfg.syntactic_refinement),
-        format!("{:?}", cfg.syntactic_groups),
         format!("{:?}", cfg.features),
         format!("{:?}", cfg.training),
         format!("{:?}", cfg.encoder),

@@ -16,7 +16,7 @@
 //! writes both.
 
 use crate::engine::QualityFolds;
-use crate::pipeline::RunArtifacts;
+use crate::pipeline::{DetectionResult, RunArtifacts};
 use matelda_table::{CellId, CellMask, Lake};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -62,7 +62,7 @@ pub struct CellDiagnosis {
     pub fired: Vec<String>,
     /// Index of the quality fold the cell belongs to (into
     /// [`QualityFolds::entries`]); `None` when the cell fell outside
-    /// every fold (quarantined table or zero-budget domain fold).
+    /// every fold (a zero-budget domain fold).
     pub quality_fold: Option<usize>,
     /// The fold's labeled anchor cell and the verdict the labeler gave
     /// it; `None` when the fold was never labeled (TUCF) or the cell is
@@ -86,18 +86,24 @@ pub struct FailureReport {
 
 /// Builds the failure report for one run.
 ///
+/// Only the tables the run scored are analyzed: a quarantined table's
+/// cells are unscored, not clean, and its features were never computed,
+/// so its cells count neither as false negatives nor as false positives.
 /// `typed_errors` maps error-type abbreviations to their truth masks
 /// (pass `&[]` when no typed truth exists — `truth_type` stays `None`).
 /// `max_exemplars_per_kind` caps the diagnoses per kind; the totals
 /// always count every misclassification.
 pub fn analyze_failures(
     lake: &Lake,
-    predicted: &CellMask,
+    result: &DetectionResult,
     truth: &CellMask,
     typed_errors: &[(String, CellMask)],
     artifacts: &RunArtifacts,
     max_exemplars_per_kind: usize,
 ) -> FailureReport {
+    let quarantined = &result.quarantine.tables;
+    let predicted = &result.predicted.without_tables(quarantined);
+    let truth = &truth.without_tables(quarantined);
     let fold_of = fold_membership(&artifacts.quality);
     let anchor_of = fold_anchors(artifacts);
 
@@ -331,14 +337,8 @@ mod tests {
     #[test]
     fn report_names_misclassified_cells_with_evidence() {
         let (lake, result, artifacts) = run();
-        let report = analyze_failures(
-            &lake.dirty,
-            &result.predicted,
-            &lake.errors,
-            &lake.typed_errors,
-            &artifacts,
-            5,
-        );
+        let report =
+            analyze_failures(&lake.dirty, &result, &lake.errors, &lake.typed_errors, &artifacts, 5);
         // An imperfect detector at 9% error rate always leaves both kinds.
         assert!(report.n_false_negatives > 0);
         assert!(!report.exemplars.is_empty());
@@ -362,14 +362,8 @@ mod tests {
     #[test]
     fn renders_cover_both_formats() {
         let (lake, result, artifacts) = run();
-        let report = analyze_failures(
-            &lake.dirty,
-            &result.predicted,
-            &lake.errors,
-            &lake.typed_errors,
-            &artifacts,
-            3,
-        );
+        let report =
+            analyze_failures(&lake.dirty, &result, &lake.errors, &lake.typed_errors, &artifacts, 3);
         let md = report.render_markdown();
         assert!(md.starts_with("# Matelda failure analysis"));
         assert!(md.contains("False negatives"));
@@ -385,8 +379,7 @@ mod tests {
     #[test]
     fn empty_typed_truth_leaves_types_unknown() {
         let (lake, result, artifacts) = run();
-        let report =
-            analyze_failures(&lake.dirty, &result.predicted, &lake.errors, &[], &artifacts, 2);
+        let report = analyze_failures(&lake.dirty, &result, &lake.errors, &[], &artifacts, 2);
         for d in &report.exemplars {
             assert!(d.truth_type.is_none());
         }

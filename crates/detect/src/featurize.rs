@@ -82,6 +82,11 @@ pub fn fired_features(v: &[f32]) -> Vec<String> {
         .collect()
 }
 
+/// The g3 tolerance of the `nv` rule set: a unary FD counts as a rule if
+/// it holds on all but at most this fraction of rows (see
+/// [`rule_signals_with`]).
+const RULE_G3_THRESHOLD: f64 = 0.3;
+
 /// Which detector families contribute to the vector. Disabled families
 /// are zeroed (not removed), so vector dimensionality — and therefore
 /// cross-configuration comparability — is preserved. Implements the
@@ -94,8 +99,6 @@ pub struct FeatureConfig {
     pub typos: bool,
     /// Structural FD flags and `nv` buckets. Off = Matelda-NRVD.
     pub rules: bool,
-    /// g3 tolerance for the `nv` rule set (see `rules::rule_signals`).
-    pub rule_g3_threshold: f64,
     /// Deviation ablation: use the literal Eq. 2 TF normalization instead
     /// of the max-count normalization this repo defaults to (DESIGN.md).
     pub tf_eq2_literal: bool,
@@ -112,7 +115,6 @@ impl Default for FeatureConfig {
             outliers: true,
             typos: true,
             rules: true,
-            rule_g3_threshold: 0.3,
             tf_eq2_literal: false,
             fd_whole_group: false,
             no_null_flag: false,
@@ -345,7 +347,7 @@ pub fn featurize_table(
 
     if config.rules && m > 0 {
         let RuleSignals { structural, nv_lhs_bucket, nv_rhs_bucket } =
-            rule_signals_with(table, config.rule_g3_threshold, config.fd_whole_group);
+            rule_signals_with(table, RULE_G3_THRESHOLD, config.fd_whole_group);
         for j in 0..m {
             for r in 0..n {
                 let w = &mut cells[r * m + j];
@@ -589,7 +591,7 @@ mod tests {
         }
         if config.rules && m > 0 {
             let RuleSignals { structural, nv_lhs_bucket, nv_rhs_bucket } =
-                rule_signals_with(table, config.rule_g3_threshold, config.fd_whole_group);
+                rule_signals_with(table, RULE_G3_THRESHOLD, config.fd_whole_group);
             for j in 0..m {
                 for r in 0..n {
                     let v = &mut vectors[r * m + j];

@@ -11,8 +11,9 @@
 //!   pool. Work is claimed dynamically (chunked per-participant range
 //!   deques with stealing) for balance, but results are always merged
 //!   **in index order**, so output is bit-identical at any thread count.
-//! * [`Executor::try_map`] / [`Executor::try_map_n`] — the fault-isolated
-//!   variants: each work item runs under `catch_unwind`, a panic becomes
+//! * [`Executor::try_map_n`] — the one fault-isolated map (with
+//!   [`Executor::try_map`] its slice form): each work item runs under
+//!   `catch_unwind` and an optional stage [`Deadline`], a panic becomes
 //!   an [`ItemFault`] for that index only, and the index-ordered merge is
 //!   preserved, so degradation is as deterministic as success. Workers
 //!   are long-lived — an item panic never kills a pool thread.
@@ -63,7 +64,7 @@ impl fmt::Display for ItemFault {
 /// timed-out run is bit-identical however the deadline was detected.
 pub const DEADLINE_FAULT: &str = "stage deadline exceeded";
 
-/// A per-stage watchdog deadline for [`Executor::try_map_within`]: work
+/// A per-stage watchdog deadline for [`Executor::try_map_n`]: work
 /// items claimed after the deadline are not run — they fault with
 /// [`DEADLINE_FAULT`] and flow through the same degradation paths as a
 /// panicked item. Items already running are never interrupted (the
@@ -106,16 +107,14 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// the workspace derives a per-index seed instead.
 ///
 /// Cloning shares the pool: the engine builds one executor per run and
-/// every stage (including clones re-tuned via
-/// [`Executor::with_inline_threshold`]) schedules onto the same
-/// lazily-spawned workers. The calling thread is always participant 0 of
-/// a parallel map, so `threads` means *total* parallelism: a 1-thread
-/// executor never wakes (or spawns) a pool thread, and a map issued from
-/// inside a pool task runs inline instead of re-entering the pool.
+/// every stage schedules onto the same lazily-spawned workers. The
+/// calling thread is always participant 0 of a parallel map, so
+/// `threads` means *total* parallelism: a 1-thread executor never wakes
+/// (or spawns) a pool thread, and a one-item map, or a map called from
+/// inside a pool task, runs inline instead of re-entering the pool.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
-    inline_threshold: usize,
     obs: Obs,
     pool: Arc<Pool>,
 }
@@ -136,12 +135,7 @@ impl Executor {
         } else {
             threads
         };
-        Executor {
-            threads,
-            inline_threshold: 0,
-            obs: Obs::disabled(),
-            pool: Arc::new(Pool::new(threads)),
-        }
+        Executor { threads, obs: Obs::disabled(), pool: Arc::new(Pool::new(threads)) }
     }
 
     /// A single-threaded executor (runs everything inline; its pool
@@ -157,38 +151,13 @@ impl Executor {
         self.pool.workers_spawned()
     }
 
-    /// Sets the small-batch serial fallback: a map over fewer than
-    /// `threshold × threads` items runs inline on the calling thread
-    /// without waking (or spawning) pool workers. Even with persistent
-    /// workers, a parallel map costs a condvar round-trip per worker;
-    /// stages whose items are cheap and few (the label stage maps ~38
-    /// folds) opt in per call site — the clone shares the pool, so the
-    /// tuning is free. `0` (the default) disables the fallback — the
-    /// executor's map item counts are stage-specific, so a global
-    /// threshold would serialize stages that do benefit from threads.
-    ///
-    /// The merged output is bit-identical either way; only scheduling
-    /// changes.
-    pub fn with_inline_threshold(mut self, threshold: usize) -> Self {
-        self.inline_threshold = threshold;
-        self
-    }
-
-    /// The small-batch serial-fallback threshold (`0` = disabled).
-    pub fn inline_threshold(&self) -> usize {
-        self.inline_threshold
-    }
-
     /// Whether a map over `n` items takes the serial path. Maps issued
     /// from inside a pool task always do: the pool's workers are busy
     /// running the outer map, so nesting would deadlock-or-oversubscribe
     /// for no benefit. (The merge order is index-driven either way, so
     /// inlining never changes results.)
     fn runs_inline(&self, n: usize) -> bool {
-        self.threads <= 1
-            || n <= 1
-            || n < self.inline_threshold.saturating_mul(self.threads)
-            || pool::in_pool_task()
+        self.threads <= 1 || n <= 1 || pool::in_pool_task()
     }
 
     /// Attaches an observability handle: fault-isolated maps then emit
@@ -239,27 +208,13 @@ impl Executor {
         if self.runs_inline(n) {
             return (0..n).map(f).collect();
         }
-        let participants = self.threads.min(n);
-        let ranges = pool::Ranges::new(n, participants);
-        let gathered: Mutex<Vec<Vec<(usize, R)>>> = Mutex::new(Vec::with_capacity(participants));
-        self.pool.run(participants, &|pid| {
-            let mut mine: Vec<(usize, R)> = Vec::new();
+        self.scatter_gather(n, |pid, ranges| {
+            let mut mine = Vec::new();
             while let Some((range, _stolen)) = ranges.claim(pid) {
-                for i in range {
-                    mine.push((i, f(i)));
-                }
+                mine.extend(range.map(|i| (i, f(i))));
             }
-            gathered.lock().unwrap_or_else(PoisonError::into_inner).push(mine);
-        });
-
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        for batch in gathered.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            for (i, r) in batch {
-                slots[i] = Some(r);
-            }
-        }
-        slots.into_iter().map(|s| s.expect("every index produced exactly once")).collect()
+            mine
+        })
     }
 
     /// Maps `f` over a slice, merging results in item order.
@@ -272,28 +227,18 @@ impl Executor {
         self.map_n(items.len(), |i| f(i, &items[i]))
     }
 
-    /// Fault-isolated [`Executor::map_n`]: each `f(i)` runs under
+    /// The fault-isolated [`Executor::map_n`]: each `f(i)` runs under
     /// `catch_unwind`, so a panic in one work item becomes
     /// `Err(ItemFault)` at that index instead of tearing down the run.
-    /// Results still merge in index order — `try_map_n` at any thread
-    /// count returns the same vector, faults included, which is what
-    /// keeps degraded runs bit-identical.
+    /// An item claimed after `deadline` has passed (or whose
+    /// `timeout:<stage>` faultpoint is armed — the deterministic test
+    /// hook) is not run and faults with [`DEADLINE_FAULT`]; `None` runs
+    /// every item. Results still merge in index order — `try_map_n` at
+    /// any thread count returns the same vector, faults included, which
+    /// is what keeps degraded runs bit-identical.
     ///
     /// `stage` names the stage in the fault records.
-    pub fn try_map_n<R, F>(&self, stage: &str, n: usize, f: F) -> Vec<Result<R, ItemFault>>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        self.try_map_n_within(stage, n, None, f)
-    }
-
-    /// [`Executor::try_map_n`] under a watchdog [`Deadline`]: an item
-    /// claimed after the deadline has passed (or whose
-    /// `timeout:<stage>` faultpoint is armed — the deterministic test
-    /// hook) is not run and faults with [`DEADLINE_FAULT`]. With
-    /// `deadline = None` this is exactly `try_map_n`.
-    pub fn try_map_n_within<R, F>(
+    pub fn try_map_n<R, F>(
         &self,
         stage: &str,
         n: usize,
@@ -314,51 +259,41 @@ impl Executor {
         // Per-item latency histogram, keyed once per call — the per-item
         // path pays a single `Option` branch when tracing is off.
         let hist = self.obs.is_enabled().then(|| format!("exec.item_us.{stage}"));
+        let timed = |i: usize| -> (Result<R, ItemFault>, f64) {
+            match &hist {
+                Some(h) => {
+                    let watch = Stopwatch::start();
+                    let r = guarded(i);
+                    let us = watch.elapsed_secs() * 1e6;
+                    self.obs.record(h, us, Buckets::LatencyUs);
+                    (r, us)
+                }
+                None => (guarded(i), 0.0),
+            }
+        };
         if self.runs_inline(n) {
             let mut span = self.obs.span("exec", stage);
-            let out = match &hist {
-                Some(h) => (0..n)
-                    .map(|i| {
-                        let watch = Stopwatch::start();
-                        let r = guarded(i);
-                        self.obs.record(h, watch.elapsed_secs() * 1e6, Buckets::LatencyUs);
-                        r
-                    })
-                    .collect(),
-                None => (0..n).map(guarded).collect(),
-            };
+            let out = (0..n).map(|i| timed(i).0).collect();
             span.arg("items", n as f64);
             span.finish_secs();
             return out;
         }
-        let participants = self.threads.min(n);
-        let ranges = pool::Ranges::new(n, participants);
-        let gathered: Mutex<Vec<Vec<(usize, Result<R, ItemFault>)>>> =
-            Mutex::new(Vec::with_capacity(participants));
         let obs = &self.obs;
         // One span per map *participation* (workers are persistent, so a
         // span per thread lifetime would smear every stage together):
         // participant `pid` traces on tid lane `pid + 1`, with the items
         // it claimed, its busy time, and how many chunks it stole.
-        self.pool.run(participants, &|pid| {
+        self.scatter_gather(n, |pid, ranges| {
             let mut span = obs.span("exec", stage).with_tid(pid as u64 + 1);
             let mut busy_us = 0.0f64;
             let mut steals = 0u64;
-            let mut mine: Vec<(usize, Result<R, ItemFault>)> = Vec::new();
+            let mut mine = Vec::new();
             while let Some((range, stolen)) = ranges.claim(pid) {
                 steals += u64::from(stolen);
                 for i in range {
-                    match &hist {
-                        Some(h) => {
-                            let watch = Stopwatch::start();
-                            let r = guarded(i);
-                            let us = watch.elapsed_secs() * 1e6;
-                            busy_us += us;
-                            obs.record(h, us, Buckets::LatencyUs);
-                            mine.push((i, r));
-                        }
-                        None => mine.push((i, guarded(i))),
-                    }
+                    let (r, us) = timed(i);
+                    busy_us += us;
+                    mine.push((i, r));
                 }
             }
             let items = mine.len();
@@ -377,10 +312,38 @@ impl Executor {
                     );
                 }
             }
+            mine
+        })
+    }
+
+    /// Fault-isolated [`Executor::map`] with no deadline (see
+    /// [`Executor::try_map_n`]).
+    pub fn try_map<T, R, F>(&self, stage: &str, items: &[T], f: F) -> Vec<Result<R, ItemFault>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        self.try_map_n(stage, items.len(), None, |i| f(i, &items[i]))
+    }
+
+    /// The parallel half of every map: `participate(pid, ranges)` runs on
+    /// each of `min(threads, n)` participants, claims index ranges off
+    /// `ranges` until none are left and returns its `(index, result)`
+    /// pairs; the pairs are then scattered back into index order.
+    fn scatter_gather<R: Send>(
+        &self,
+        n: usize,
+        participate: impl Fn(usize, &pool::Ranges) -> Vec<(usize, R)> + Sync,
+    ) -> Vec<R> {
+        let participants = self.threads.min(n);
+        let ranges = pool::Ranges::new(n, participants);
+        let gathered: Mutex<Vec<Vec<(usize, R)>>> = Mutex::new(Vec::with_capacity(participants));
+        self.pool.run(participants, &|pid| {
+            let mine = participate(pid, &ranges);
             gathered.lock().unwrap_or_else(PoisonError::into_inner).push(mine);
         });
-
-        let mut slots: Vec<Option<Result<R, ItemFault>>> = Vec::with_capacity(n);
+        let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         for batch in gathered.into_inner().unwrap_or_else(PoisonError::into_inner) {
             for (i, r) in batch {
@@ -388,33 +351,6 @@ impl Executor {
             }
         }
         slots.into_iter().map(|s| s.expect("every index produced exactly once")).collect()
-    }
-
-    /// Fault-isolated [`Executor::map`] (see [`Executor::try_map_n`]).
-    pub fn try_map<T, R, F>(&self, stage: &str, items: &[T], f: F) -> Vec<Result<R, ItemFault>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.try_map_n(stage, items.len(), |i| f(i, &items[i]))
-    }
-
-    /// Fault-isolated slice map under a watchdog [`Deadline`] (see
-    /// [`Executor::try_map_n_within`]).
-    pub fn try_map_within<T, R, F>(
-        &self,
-        stage: &str,
-        items: &[T],
-        deadline: Option<Deadline>,
-        f: F,
-    ) -> Vec<Result<R, ItemFault>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.try_map_n_within(stage, items.len(), deadline, |i| f(i, &items[i]))
     }
 }
 
@@ -767,41 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn inline_threshold_boundary_serial_below_parallel_at() {
-        // threshold 4 × 2 threads = 8: n = 7 must run inline on the
-        // calling thread, n = 8 must spawn workers. The worker spans
-        // make scheduling observable: the serial path emits exactly one
-        // span, the parallel path one per worker.
-        let threshold = 4;
-        let threads = 2;
-        for (n, expect_spans) in [(threshold * threads - 1, 1), (threshold * threads, threads)] {
-            let obs = matelda_obs::Obs::enabled();
-            let exec =
-                Executor::new(threads).with_inline_threshold(threshold).with_obs(obs.clone());
-            let out = exec.try_map_n("s", n, |i| i * 7);
-            assert_eq!(out.len(), n);
-            assert_eq!(obs.spans().len(), expect_spans, "n={n}");
-        }
-    }
-
-    #[test]
-    fn inline_threshold_output_identical_to_parallel() {
-        let items: Vec<usize> = (0..38).collect();
-        let work = |_, &x: &usize| {
-            (0..(x % 5) * 100).fold(x as u64, |acc, _| acc.wrapping_mul(31).wrapping_add(7))
-        };
-        let base = Executor::single().map(&items, work);
-        for threads in [2, 4] {
-            // Threshold 32 × threads > 38 items → serial fallback fires.
-            let exec = Executor::new(threads).with_inline_threshold(32);
-            assert_eq!(exec.inline_threshold(), 32);
-            assert_eq!(exec.map(&items, work), base, "threads={threads}");
-            // Disabled threshold (default) goes parallel; same bits.
-            assert_eq!(Executor::new(threads).map(&items, work), base);
-        }
-    }
-
-    #[test]
     fn report_records_and_renders() {
         let mut report = RunReport::new(2);
         let mut embed = StageReport::new("embed");
@@ -832,7 +733,7 @@ mod tests {
         let _armed = faultpoint::arm(Vec::new()); // silence hook + exclusivity
         for threads in [1, 2, 4] {
             let exec = Executor::new(threads);
-            let out = exec.try_map_n("stage", 10, |i| {
+            let out = exec.try_map_n("stage", 10, None, |i| {
                 if i % 3 == 0 {
                     panic!("boom {i}");
                 }
@@ -870,7 +771,7 @@ mod tests {
         let exec = Executor::new(2);
         {
             let _armed = faultpoint::arm(vec![("s".to_string(), 3), ("s".to_string(), 5)]);
-            let out = exec.try_map_n("s", 8, |i| {
+            let out = exec.try_map_n("s", 8, None, |i| {
                 faultpoint::hit("s", i);
                 faultpoint::hit("other", i); // not armed for this stage
                 i
@@ -881,7 +782,7 @@ mod tests {
             assert!(out[3].as_ref().is_err_and(|f| f.message.contains("injected fault")));
         }
         // Guard dropped: the same run is fault-free.
-        let out = exec.try_map_n("s", 8, |i| {
+        let out = exec.try_map_n("s", 8, None, |i| {
             faultpoint::hit("s", i);
             i
         });
@@ -894,7 +795,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let exec = Executor::new(threads);
             let ran = AtomicUsize::new(0);
-            let out = exec.try_map_n_within("slow", 5, None, |i| {
+            let out = exec.try_map_n("slow", 5, None, |i| {
                 ran.fetch_add(1, Ordering::SeqCst);
                 i
             });
@@ -916,21 +817,12 @@ mod tests {
         let exec = Executor::new(2);
         let expired = Deadline::after(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(1));
-        let out = exec.try_map_n_within("s", 6, Some(expired), |i| i);
+        let out = exec.try_map_n("s", 6, Some(expired), |i| i);
         assert!(out.iter().all(|r| r.as_ref().is_err_and(|f| f.message == DEADLINE_FAULT)));
 
         let roomy = Deadline::after(Duration::from_secs(3600));
-        let out = exec.try_map_n_within("s", 6, Some(roomy), |i| i);
+        let out = exec.try_map_n("s", 6, Some(roomy), |i| i);
         assert!(out.iter().all(Result::is_ok));
-    }
-
-    #[test]
-    fn try_map_within_none_matches_try_map() {
-        let items: Vec<usize> = (0..17).collect();
-        let exec = Executor::new(3);
-        let a = exec.try_map("s", &items, |_, &x| x * 3);
-        let b = exec.try_map_within("s", &items, None, |_, &x| x * 3);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -949,8 +841,8 @@ mod tests {
             let obs = matelda_obs::Obs::enabled();
             let plain = Executor::new(threads);
             let traced = Executor::new(threads).with_obs(obs.clone());
-            let a = plain.try_map_n("s", 16, |i| i * i);
-            let b = traced.try_map_n("s", 16, |i| i * i);
+            let a = plain.try_map_n("s", 16, None, |i| i * i);
+            let b = traced.try_map_n("s", 16, None, |i| i * i);
             assert_eq!(a, b, "tracing must not change results (threads={threads})");
 
             let hist = obs.histogram("exec.item_us.s").expect("per-item latency histogram");
@@ -974,7 +866,7 @@ mod tests {
     #[test]
     fn disabled_obs_records_nothing_on_the_executor() {
         let exec = Executor::new(2);
-        let _ = exec.try_map_n("s", 8, |i| i);
+        let _ = exec.try_map_n("s", 8, None, |i| i);
         assert!(!exec.obs().is_enabled());
         assert!(exec.obs().spans().is_empty());
         assert!(exec.obs().histogram("exec.item_us.s").is_none());
@@ -984,7 +876,7 @@ mod tests {
     fn single_executor_never_spawns_pool_threads_or_worker_spans() {
         let obs = matelda_obs::Obs::enabled();
         let exec = Executor::single().with_obs(obs.clone());
-        let out = exec.try_map_n("s", 64, |i| i * 3);
+        let out = exec.try_map_n("s", 64, None, |i| i * 3);
         assert!(out.iter().all(Result::is_ok));
         assert_eq!(exec.workers_spawned(), 0, "threads=1 must not start a pool thread");
         // Exactly the inline span — no worker lanes (tid >= 1).
@@ -997,9 +889,8 @@ mod tests {
     fn pool_threads_spawn_lazily_and_are_shared_by_clones() {
         let exec = Executor::new(3);
         assert_eq!(exec.workers_spawned(), 0, "construction must not spawn");
-        // Inline maps (small n, or an opted-in threshold) still spawn nothing.
+        // An inline (one-item) map still spawns nothing.
         let _ = exec.map_n(1, |i| i);
-        let _ = exec.clone().with_inline_threshold(64).map_n(100, |i| i);
         assert_eq!(exec.workers_spawned(), 0, "inline maps must not wake the pool");
         // The first parallel map spawns threads−1 workers (the caller is
         // participant 0) — and a clone reuses them rather than spawning.
@@ -1024,7 +915,7 @@ mod tests {
     fn workers_survive_item_panics_and_serve_later_maps() {
         let _armed = faultpoint::arm(Vec::new()); // silence hook + exclusivity
         let exec = Executor::new(2);
-        let out = exec.try_map_n("first", 8, |i| {
+        let out = exec.try_map_n("first", 8, None, |i| {
             if i == 5 {
                 panic!("item 5 dies");
             }
@@ -1034,7 +925,7 @@ mod tests {
         let spawned = exec.workers_spawned();
         assert_eq!(spawned, 1);
         // The same long-lived worker serves the next "stage" correctly.
-        let again = exec.try_map_n("second", 8, |i| i * 2);
+        let again = exec.try_map_n("second", 8, None, |i| i * 2);
         assert!(again.iter().enumerate().all(|(i, r)| *r.as_ref().unwrap() == i * 2));
         assert_eq!(exec.workers_spawned(), spawned, "no worker died or respawned");
     }
@@ -1057,9 +948,9 @@ mod tests {
                 faultpoint::hit("prop", i);
                 (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7
             };
-            let base = Executor::single().try_map_n("prop", n, work);
+            let base = Executor::single().try_map_n("prop", n, None, work);
             for threads in [2usize, 4, 8] {
-                let out = Executor::new(threads).try_map_n("prop", n, work);
+                let out = Executor::new(threads).try_map_n("prop", n, None, work);
                 proptest::prop_assert_eq!(&out, &base);
             }
         }

@@ -39,6 +39,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -76,13 +77,19 @@ pub struct ProcMemory {
 
 impl ProcMemory {
     /// Reads both values; `None` off Linux or if the file is unreadable.
+    ///
+    /// `hwm_bytes` is the largest `VmHWM` any read in this process has
+    /// seen: a kernel that sums its RSS counters approximately can report
+    /// a `VmHWM` a few pages below an earlier report.
     pub fn read() -> Option<Self> {
+        static PEAK: AtomicU64 = AtomicU64::new(0);
         let status = std::fs::read_to_string("/proc/self/status").ok()?;
         let kib = |key: &str| -> Option<u64> {
             let line = status.lines().find_map(|l| l.strip_prefix(key))?;
             line.trim().trim_end_matches("kB").trim().parse::<u64>().ok()?.checked_mul(1024)
         };
-        Some(ProcMemory { rss_bytes: kib("VmRSS:")?, hwm_bytes: kib("VmHWM:")? })
+        let (rss_bytes, hwm) = (kib("VmRSS:")?, kib("VmHWM:")?);
+        Some(ProcMemory { rss_bytes, hwm_bytes: PEAK.fetch_max(hwm, Ordering::Relaxed).max(hwm) })
     }
 }
 

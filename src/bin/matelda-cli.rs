@@ -533,7 +533,7 @@ fn cmd_detect(args: &[String]) -> CliResult {
         // Ground-truth error types are not on disk — recover them from
         // the (dirty, clean) diff via the mutation signatures.
         let typed = matelda::errorgen::infer_typed_masks(&dirty, &clean);
-        let report = analyze_failures(&dirty, &result.predicted, &truth, &typed, &artifacts, 10);
+        let report = analyze_failures(&dirty, &result, &truth, &typed, &artifacts, 10);
         std::fs::create_dir_all(dir)
             .map_err(|e| CliError::Runtime(format!("creating {}: {e}", dir.display())))?;
         for (name, contents) in [

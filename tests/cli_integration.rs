@@ -415,5 +415,21 @@ fn failure_report_names_misclassified_cells_with_evidence() {
         assert!(bytes == json.as_bytes(), "{tag} failure report differs from the plain run's");
     }
 
+    // A degraded run reports on the tables it scored: the quarantined
+    // table's cells are unscored, so none of them is diagnosed.
+    let degraded_dir = dir.join("degraded");
+    let degraded_dir_s = degraded_dir.to_string_lossy().to_string();
+    let out = cli()
+        .env("MATELDA_FAULTPOINTS", "embed:0")
+        .args(["detect", &dirty, "--clean", &clean, "--on-error", "skip"])
+        .args(["--failure-report", &degraded_dir_s])
+        .output()
+        .expect("degraded detect with failure report");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("1 table(s) quarantined"));
+    let json = std::fs::read_to_string(degraded_dir.join("failure_report.json")).expect("json");
+    assert!(json.contains("\"kind\":\"FN\""), "{json}");
+    assert!(!json.contains("\"cell\":[0,"), "quarantined table 0 diagnosed: {json}");
+
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -2,10 +2,12 @@
 //! spanning crates (proptest).
 
 use matelda::cluster::kmeans::MiniBatchKMeansConfig;
+use matelda::cluster::matrix::euclidean;
 use matelda::cluster::{agglomerative, Hdbscan, MiniBatchKMeans, NOISE};
 use matelda::core::{LabelingStrategy, Matelda, MateldaConfig, Oracle, TrainingStrategy};
 use matelda::embed::MinHashSketch;
 use matelda::errorgen::{inject, ErrorSpec};
+use matelda::exec::Executor;
 use matelda::lakegen::QuintetLake;
 use matelda::ml::{GradientBoostingClassifier, GradientBoostingConfig};
 use matelda::table::profile::ColumnProfile;
@@ -106,7 +108,10 @@ proptest! {
     #[test]
     fn hdbscan_labels_are_dense_or_noise(points in proptest::collection::vec(
         proptest::collection::vec(-50.0f32..50.0, 2), 0..30)) {
-        let labels = Hdbscan::default().fit_points(&points);
+        let dist = |a: usize, b: usize| euclidean(&points[a], &points[b]);
+        let labels = Hdbscan::default()
+            .fit(points.len(), dist, &Executor::single(), None)
+            .expect("no budget");
         prop_assert_eq!(labels.len(), points.len());
         let max = labels.iter().copied().max().unwrap_or(NOISE);
         for l in &labels {
