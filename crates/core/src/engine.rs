@@ -953,8 +953,17 @@ impl Stage for ClassifyStage {
                 let rows = groups[i]
                     .iter()
                     .map(|&(t, c)| {
+                        // One prediction per distinct feature vector of
+                        // the column: cells sharing a pattern code share
+                        // the vector's bits, so they share its verdict.
+                        let features = &featurized.features[t];
+                        let mut verdicts: Vec<Option<bool>> = vec![None; features.n_patterns()];
                         (0..lake[t].n_rows())
-                            .filter(|&r| model.predict(featurized.features[t].get(r, c)))
+                            .filter(|&r| {
+                                let code = features.code(r, c);
+                                *verdicts[code as usize]
+                                    .get_or_insert_with(|| model.predict(features.pattern(code)))
+                            })
                             .collect()
                     })
                     .collect();
@@ -1016,7 +1025,7 @@ pub(crate) fn fit_column_models(
 }
 
 /// Fits one model on the labeled cells of `columns`, gathered column by
-/// column in row order.
+/// column in row order as slices of the pattern tables.
 fn fit_group(
     ctx: &StageContext<'_>,
     featurized: &FeaturizedLake,
@@ -1029,19 +1038,20 @@ fn fit_group(
         let m = ctx.lake[t].n_cols();
         for r in 0..ctx.lake[t].n_rows() {
             if let Some(lab) = labels[t][r * m + c] {
-                x.push(featurized.features[t].get(r, c).to_vec());
+                x.push(featurized.features[t].get(r, c));
                 y.push(lab);
             }
         }
     }
-    FittedClassifier::fit_with(&ctx.config.classifier, &x, &y, &ctx.executor)
+    FittedClassifier::fit(&ctx.config.classifier, &x, &y)
 }
 
 /// The obs counter one classify work item's model lands in:
 /// `classify.constant_fits` counts models that trained no tree because
-/// their labels had one class, `classify.binned_fits` histogram-kernel
-/// fits, and `classify.exact_fits` exact-path fallbacks (high-cardinality
-/// or NaN features — see [`matelda_ml::BinnedDataset::build`]). The
+/// their labels had one class, `classify.binned_fits` fits on the
+/// memoized grower, and `classify.exact_fits` exact-path fallbacks
+/// (high-cardinality or NaN features — see
+/// [`matelda_ml::BinnedDataset::build`]). The
 /// split makes a silent wholesale fallback to the slow path visible in
 /// the metrics dump.
 fn fit_counter(model: &FittedClassifier) -> &'static str {

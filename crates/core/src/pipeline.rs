@@ -445,9 +445,16 @@ impl Matelda {
     /// which makes it a safe memo-cache key: equal hash ⇒ bit-equal
     /// result.
     pub fn manifest(&self, lake: &Lake, budget: usize) -> Manifest {
+        self.manifest_for(lake_fingerprint(lake), budget)
+    }
+
+    /// [`Matelda::manifest`] for a lake whose [`lake_fingerprint`] the
+    /// caller already holds, so a service that keeps a parsed lake
+    /// across requests fingerprints it once, not per request.
+    pub fn manifest_for(&self, fingerprint: u64, budget: usize) -> Manifest {
         Manifest {
             config_hash: config_hash(&self.config),
-            lake_fingerprint: lake_fingerprint(lake),
+            lake_fingerprint: fingerprint,
             seed: self.config.seed,
             budget: budget as u64,
             // Informational only — never hashed or validated.

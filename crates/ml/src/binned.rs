@@ -1,15 +1,13 @@
-//! Pre-binned (histogram) feature representation for tree training.
+//! Lossless bin codes of a feature matrix, the input of the memoized
+//! tree grower (`NodeMemo`, which boosting uses).
 //!
-//! Classic histogram GBM (LightGBM-style) quantizes every feature column
-//! into at most 256 bins once, so per-node split search scans bin codes
-//! instead of re-sorting raw feature vectors. Our detector feature space
-//! (33 mostly-binary flags per cell) has very few distinct values per
-//! column, so binning is *lossless* here: a bin is simply the rank of the
-//! value among the column's sorted distinct values. Bin-code comparison is
-//! therefore order-isomorphic to raw-value comparison, which is what lets
-//! the binned split search in [`crate::tree::RegressionTree::fit_binned`]
-//! reproduce the exact-split reference bit for bit (see DESIGN.md
-//! "Performance contract").
+//! Our detector feature space (33 mostly-binary flags per cell) has very
+//! few distinct values per column, so binning is *lossless* here: a bin
+//! is simply the rank of the value among the column's sorted distinct
+//! values. Bin-code comparison is therefore order-isomorphic to
+//! raw-value comparison, which is what lets the memoized split search
+//! reproduce the exact-split reference [`crate::RegressionTree::fit`]
+//! bit for bit (see DESIGN.md "Performance contract").
 //!
 //! Columns with more than [`MAX_BINS`] distinct values or any NaN are not
 //! representable; [`BinnedDataset::build`] returns `None` and callers fall
@@ -19,45 +17,39 @@
 /// (bin codes are `u8`).
 pub const MAX_BINS: usize = 256;
 
-/// A dataset pre-binned for histogram tree training.
+/// A feature matrix as per-feature bin codes.
 ///
-/// Codes are stored feature-major (SoA): `codes[f * n_samples + i]` is the
-/// bin of sample `i` in feature `f`, so per-feature scans during split
-/// search are contiguous.
+/// Codes are stored feature-major (SoA): `codes[f * n_rows + i]` is the
+/// bin of row `i` in feature `f`, so per-feature scans are contiguous.
 #[derive(Debug, Clone)]
 pub struct BinnedDataset {
-    n_samples: usize,
+    n_rows: usize,
     n_features: usize,
-    /// Widest per-feature bin count (for sizing histograms).
-    max_bins: usize,
-    /// Feature-major bin codes, `n_features × n_samples`.
+    /// Feature-major bin codes, `n_features × n_rows`.
     codes: Vec<u8>,
     /// Per-feature ascending distinct values; `bin_values[f][b]` is the raw
-    /// value every sample with code `b` holds in feature `f`.
+    /// value every row with code `b` holds in feature `f`.
     bin_values: Vec<Vec<f32>>,
-    /// Per-feature bin counts over all samples, `n_features × max_bins`.
-    root_hist: Vec<u32>,
 }
 
 impl BinnedDataset {
-    /// Bins `x` (row-major samples). Returns `None` when any feature
-    /// column is not losslessly binnable: more than [`MAX_BINS`] distinct
-    /// values, or a NaN (the exact path's ordering contract rejects NaN
-    /// too, by panicking — the fallback preserves that behavior).
-    pub fn build(x: &[Vec<f32>]) -> Option<Self> {
-        let n_samples = x.len();
-        if n_samples == 0 {
+    /// Bins `x` (row-major). Returns `None` when any feature column is not
+    /// losslessly binnable: more than [`MAX_BINS`] distinct values, or a
+    /// NaN (the exact path's ordering contract rejects NaN too, by
+    /// panicking — the fallback preserves that behavior).
+    pub fn build<R: AsRef<[f32]>>(x: &[R]) -> Option<Self> {
+        let n_rows = x.len();
+        if n_rows == 0 {
             return None;
         }
-        let n_features = x[0].len();
-        let mut codes = vec![0u8; n_features * n_samples];
+        let n_features = x[0].as_ref().len();
+        let mut codes = vec![0u8; n_features * n_rows];
         let mut bin_values: Vec<Vec<f32>> = Vec::with_capacity(n_features);
-        let mut max_bins = 1usize;
-        let mut column: Vec<f32> = Vec::with_capacity(n_samples);
+        let mut column: Vec<f32> = Vec::with_capacity(n_rows);
         for f in 0..n_features {
             column.clear();
             for row in x {
-                let v = row[f];
+                let v = row.as_ref()[f];
                 if v.is_nan() {
                     return None;
                 }
@@ -69,8 +61,7 @@ impl BinnedDataset {
             if distinct.len() > MAX_BINS {
                 return None;
             }
-            max_bins = max_bins.max(distinct.len());
-            let dst = &mut codes[f * n_samples..(f + 1) * n_samples];
+            let dst = &mut codes[f * n_rows..(f + 1) * n_rows];
             for (slot, &v) in dst.iter_mut().zip(&column) {
                 // First index with distinct[i] >= v, i.e. the rank of `v`.
                 let b = distinct.partition_point(|&d| d < v);
@@ -79,18 +70,12 @@ impl BinnedDataset {
             }
             bin_values.push(distinct);
         }
-        let mut root_hist = vec![0u32; n_features * max_bins];
-        for f in 0..n_features {
-            for &b in &codes[f * n_samples..(f + 1) * n_samples] {
-                root_hist[f * max_bins + b as usize] += 1;
-            }
-        }
-        Some(Self { n_samples, n_features, max_bins, codes, bin_values, root_hist })
+        Some(Self { n_rows, n_features, codes, bin_values })
     }
 
-    /// Number of samples.
-    pub fn n_samples(&self) -> usize {
-        self.n_samples
+    /// Number of rows.
+    pub fn n_rows(&self) -> usize {
+        self.n_rows
     }
 
     /// Number of features.
@@ -98,26 +83,14 @@ impl BinnedDataset {
         self.n_features
     }
 
-    /// Widest per-feature bin count (histogram row stride).
-    pub fn max_bins(&self) -> usize {
-        self.max_bins
-    }
-
-    /// Contiguous bin codes of feature `f`, one per sample.
+    /// Contiguous bin codes of feature `f`, one per row.
     pub fn codes_of(&self, f: usize) -> &[u8] {
-        &self.codes[f * self.n_samples..(f + 1) * self.n_samples]
+        &self.codes[f * self.n_rows..(f + 1) * self.n_rows]
     }
 
     /// Number of bins (distinct values) in feature `f`.
     pub fn n_bins(&self, f: usize) -> usize {
         self.bin_values[f].len()
-    }
-
-    /// Per-feature bin counts over every sample, laid out
-    /// `[f * max_bins + b]`: the root node's histogram, the same for every
-    /// tree fit on this dataset.
-    pub fn root_histogram(&self) -> &[u32] {
-        &self.root_hist
     }
 
     /// The raw feature value represented by bin `b` of feature `f`. Used
@@ -135,7 +108,7 @@ mod tests {
     fn codes_rank_distinct_values() {
         let x = vec![vec![3.0f32, 0.0], vec![1.0, 1.0], vec![3.0, 0.0], vec![-2.0, 1.0]];
         let d = BinnedDataset::build(&x).expect("binnable");
-        assert_eq!(d.n_samples(), 4);
+        assert_eq!(d.n_rows(), 4);
         assert_eq!(d.n_features(), 2);
         // Feature 0 distinct: [-2, 1, 3] -> codes [2, 1, 2, 0].
         assert_eq!(d.codes_of(0), &[2, 1, 2, 0]);
@@ -143,9 +116,7 @@ mod tests {
         assert_eq!(d.threshold(0, 1), 1.0);
         // Feature 1 distinct: [0, 1] -> codes [0, 1, 0, 1].
         assert_eq!(d.codes_of(1), &[0, 1, 0, 1]);
-        assert_eq!(d.max_bins(), 3);
-        // Bin counts per feature, padded to `max_bins`.
-        assert_eq!(d.root_histogram(), &[1, 1, 2, 2, 2, 0]);
+        assert_eq!(d.n_bins(1), 2);
     }
 
     #[test]
@@ -170,7 +141,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_not_binnable() {
-        assert!(BinnedDataset::build(&[]).is_none());
+        assert!(BinnedDataset::build::<Vec<f32>>(&[]).is_none());
     }
 
     #[test]

@@ -32,23 +32,26 @@ pub enum FittedClassifier {
 
 impl FittedClassifier {
     /// Fits the configured learner.
-    pub fn fit(kind: &ClassifierKind, x: &[Vec<f32>], y: &[bool]) -> Self {
-        Self::fit_with(kind, x, y, &Executor::single())
-    }
-
-    /// [`FittedClassifier::fit`] with the GBM's binned-histogram build
-    /// parallelized across features on `exec` (bit-identical; see
-    /// [`GradientBoostingClassifier::fit_with`]). Forests have no
-    /// histogram path and ignore the executor.
-    pub fn fit_with(kind: &ClassifierKind, x: &[Vec<f32>], y: &[bool], exec: &Executor) -> Self {
+    pub fn fit<R: AsRef<[f32]>>(kind: &ClassifierKind, x: &[R], y: &[bool]) -> Self {
         match kind {
             ClassifierKind::GradientBoosting(cfg) => {
-                FittedClassifier::Gbm(GradientBoostingClassifier::fit_with(x, y, cfg, exec))
+                FittedClassifier::Gbm(GradientBoostingClassifier::fit(x, y, cfg))
             }
             ClassifierKind::RandomForest(cfg) => {
                 FittedClassifier::Forest(RandomForestClassifier::fit(x, y, cfg))
             }
         }
+    }
+
+    /// [`FittedClassifier::fit`]; the executor is not used. A model
+    /// trains on one thread — callers run models in parallel instead.
+    pub fn fit_with<R: AsRef<[f32]>>(
+        kind: &ClassifierKind,
+        x: &[R],
+        y: &[bool],
+        _exec: &Executor,
+    ) -> Self {
+        Self::fit(kind, x, y)
     }
 
     /// Positive-class probability.
@@ -64,8 +67,8 @@ impl FittedClassifier {
         self.predict_proba(sample) >= 0.5
     }
 
-    /// Whether training ran on the binned histogram kernel (always
-    /// `false` for forests, which have no binned path).
+    /// Whether training ran on the GBM's memoized grower over binned rows
+    /// (always `false` for forests, which have no binned path).
     pub fn used_binned(&self) -> bool {
         match self {
             FittedClassifier::Gbm(m) => m.used_binned(),

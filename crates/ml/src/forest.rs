@@ -41,7 +41,7 @@ pub struct RandomForestClassifier {
 
 impl RandomForestClassifier {
     /// Fits on row-major features and boolean labels.
-    pub fn fit(x: &[Vec<f32>], y: &[bool], config: &RandomForestConfig) -> Self {
+    pub fn fit<R: AsRef<[f32]>>(x: &[R], y: &[bool], config: &RandomForestConfig) -> Self {
         assert_eq!(x.len(), y.len(), "feature/label length mismatch");
         let n = x.len();
         let pos = y.iter().filter(|b| **b).count();
@@ -50,7 +50,7 @@ impl RandomForestClassifier {
         if n == 0 || pos == 0 || pos == n {
             return model; // constant predictor
         }
-        let d = x[0].len();
+        let d = x[0].as_ref().len();
         let k =
             config.max_features.unwrap_or_else(|| (d as f64).sqrt().ceil() as usize).clamp(1, d);
         let tree_config =
@@ -69,8 +69,10 @@ impl RandomForestClassifier {
             features.truncate(k);
             features.sort_unstable();
 
-            let bx: Vec<Vec<f32>> =
-                rows.iter().map(|&r| features.iter().map(|&f| x[r][f]).collect()).collect();
+            let bx: Vec<Vec<f32>> = rows
+                .iter()
+                .map(|&r| features.iter().map(|&f| x[r].as_ref()[f]).collect())
+                .collect();
             let by: Vec<f64> = rows.iter().map(|&r| f64::from(u8::from(y[r]))).collect();
             // Skip single-class bootstrap samples: the tree would be a
             // constant and only dilute the vote.
@@ -161,7 +163,7 @@ mod tests {
 
     #[test]
     fn empty_input_predicts_negative() {
-        let m = RandomForestClassifier::fit(&[], &[], &RandomForestConfig::default());
+        let m = RandomForestClassifier::fit::<Vec<f32>>(&[], &[], &RandomForestConfig::default());
         assert!(!m.predict(&[0.0]));
     }
 }

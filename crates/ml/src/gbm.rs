@@ -5,8 +5,10 @@
 //! vectors), predict the error probability of every cell.
 
 use crate::binned::BinnedDataset;
+use crate::memo::NodeMemo;
 use crate::tree::{RegressionTree, TreeConfig};
-use matelda_exec::Executor;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Gradient boosting hyperparameters. Defaults mirror the spirit of
 /// scikit-learn's `GradientBoostingClassifier` (shrinkage 0.1, shallow
@@ -51,6 +53,55 @@ fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
+/// A sample's feature row, compared and hashed by its f32 bits (so
+/// `-0.0` and `0.0` differ and a NaN equals itself), and its label.
+struct ClassKey<'a>(&'a [f32], bool);
+
+impl Hash for ClassKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Two values per write: half the hasher calls of one per value.
+        let mut pairs = self.0.chunks_exact(2);
+        for pair in &mut pairs {
+            state.write_u64(u64::from(pair[0].to_bits()) << 32 | u64::from(pair[1].to_bits()));
+        }
+        for v in pairs.remainder() {
+            state.write_u32(v.to_bits());
+        }
+        self.1.hash(state);
+    }
+}
+
+impl PartialEq for ClassKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.1 == other.1
+            && self.0.len() == other.0.len()
+            && self.0.iter().zip(other.0).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for ClassKey<'_> {}
+
+/// Groups samples into classes of bit-identical rows with equal labels,
+/// numbered in first-seen order: each sample's class, and each class's
+/// first sample.
+fn classes<R: AsRef<[f32]>>(x: &[R], y: &[bool]) -> (Vec<u32>, Vec<usize>) {
+    let mut index: HashMap<ClassKey<'_>, u32> = HashMap::new();
+    let mut firsts = Vec::new();
+    let classes = x
+        .iter()
+        .zip(y)
+        .enumerate()
+        .map(|(i, (row, &label))| {
+            let next = u32::try_from(firsts.len()).expect("under 2^32 classes");
+            *index.entry(ClassKey(row.as_ref(), label)).or_insert_with(|| {
+                firsts.push(i);
+                next
+            })
+        })
+        .collect();
+    (classes, firsts)
+}
+
 impl GradientBoostingClassifier {
     /// Fits on `x` (row-major features) and boolean labels (`true` =
     /// positive / erroneous).
@@ -58,23 +109,15 @@ impl GradientBoostingClassifier {
     /// Degenerate inputs are handled the way the pipeline needs them to
     /// be: with a single class (or no samples) the model collapses to a
     /// constant predictor at the empirical rate.
-    pub fn fit(x: &[Vec<f32>], y: &[bool], config: &GradientBoostingConfig) -> Self {
-        Self::fit_with(x, y, config, &Executor::single())
-    }
-
-    /// [`GradientBoostingClassifier::fit`] with binned-histogram
-    /// construction parallelized across features on `exec`. Training is
-    /// bit-identical to the serial path at every thread count (integer
-    /// bin counts, unchanged f64 accumulation order); the parallelism
-    /// only engages for nodes large enough to beat the pool wake — and
-    /// never when the fit itself already runs inside a pool task (the
-    /// nested map inlines).
-    pub fn fit_with(
-        x: &[Vec<f32>],
-        y: &[bool],
-        config: &GradientBoostingConfig,
-        exec: &Executor,
-    ) -> Self {
+    ///
+    /// Samples with bit-identical rows and equal labels share every
+    /// margin, gradient and hessian, so boosting computes those, each
+    /// stage's margin update and the binning once per such class, and
+    /// grows every stage's tree with one node memo. The trees equal
+    /// the per-sample exact reference's bit for bit. Rows that are not
+    /// losslessly binnable (>256 distinct values in a feature, NaN) fall
+    /// back to [`RegressionTree::fit`] on the samples.
+    pub fn fit<R: AsRef<[f32]>>(x: &[R], y: &[bool], config: &GradientBoostingConfig) -> Self {
         assert_eq!(x.len(), y.len(), "feature/label length mismatch");
         let n = x.len();
         let pos = y.iter().filter(|b| **b).count();
@@ -100,41 +143,47 @@ impl GradientBoostingClassifier {
             return model;
         }
 
-        // Bin the feature matrix once; every boosting stage reuses the
-        // codes, so per-node split search never re-sorts raw vectors.
-        // Columns that are not losslessly binnable (>256 distinct values,
-        // NaN) fall back to the exact reference path — both paths grow
-        // bit-identical trees (see crate::tree equivalence tests).
-        let binned = BinnedDataset::build(x);
-        model.used_binned = binned.is_some();
-
+        let (classes, firsts) = classes(x, y);
+        let rows: Vec<&[f32]> = firsts.iter().map(|&i| x[i].as_ref()).collect();
         let tree_config =
             TreeConfig { max_depth: config.max_depth, min_samples_leaf: config.min_samples_leaf };
-        let mut margins = vec![base_score; n];
-        let mut gradients = vec![0.0f64; n];
-        let mut hessians = vec![0.0f64; n];
+        // `classes` stays only for the exact fallback, which expands the
+        // per-class targets to one per sample.
+        let (mut memo, classes) = match BinnedDataset::build(&rows) {
+            Some(data) => (Some(NodeMemo::new(data, classes, tree_config.clone())), Vec::new()),
+            None => (None, classes),
+        };
+        model.used_binned = memo.is_some();
+
+        let mut margins = vec![base_score; rows.len()];
+        let mut gradients = vec![0.0f64; rows.len()];
+        let mut hessians = vec![0.0f64; rows.len()];
         for _ in 0..config.n_trees {
-            for i in 0..n {
-                let p = sigmoid(margins[i]);
-                gradients[i] = f64::from(u8::from(y[i])) - p; // y - p
-                hessians[i] = (p * (1.0 - p)).max(1e-9);
+            for (c, &first) in firsts.iter().enumerate() {
+                let p = sigmoid(margins[c]);
+                gradients[c] = f64::from(u8::from(y[first])) - p; // y - p
+                hessians[c] = (p * (1.0 - p)).max(1e-9);
             }
-            let tree = match &binned {
-                Some(data) => {
-                    RegressionTree::fit_binned_with(data, &gradients, &hessians, &tree_config, exec)
+            let tree = match &mut memo {
+                Some(memo) => memo.grow(&gradients, &hessians),
+                None => {
+                    let per_sample = |v: &[f64]| -> Vec<f64> {
+                        classes.iter().map(|&c| v[c as usize]).collect()
+                    };
+                    let (g, h) = (per_sample(&gradients), per_sample(&hessians));
+                    RegressionTree::fit(x, &g, &h, &tree_config)
                 }
-                None => RegressionTree::fit(x, &gradients, &hessians, &tree_config),
             };
             if tree.n_nodes() == 1 && model.trees.len() > 1 {
                 // A stump-less tree means the gradients are no longer
                 // separable — further stages would add constant shifts.
-                let delta = tree.predict(&x[0]);
+                let delta = tree.predict(rows[0]);
                 if delta.abs() < 1e-9 {
                     break;
                 }
             }
-            for (i, m) in margins.iter_mut().enumerate() {
-                *m += config.learning_rate * tree.predict(&x[i]);
+            for (m, row) in margins.iter_mut().zip(&rows) {
+                *m += config.learning_rate * tree.predict(row);
             }
             model.trees.push(tree);
         }
@@ -158,9 +207,9 @@ impl GradientBoostingClassifier {
         self.trees.len()
     }
 
-    /// Whether training ran on the binned (histogram) kernel rather than
-    /// the exact-split fallback. Surfaced as an obs metric by the
-    /// classify stage.
+    /// Whether training ran on the memoized grower over binned rows
+    /// rather than the exact-split fallback. Surfaced as an obs metric by
+    /// the classify stage.
     pub fn used_binned(&self) -> bool {
         self.used_binned
     }
@@ -221,7 +270,11 @@ mod tests {
 
     #[test]
     fn empty_training_set_predicts_negative() {
-        let m = GradientBoostingClassifier::fit(&[], &[], &GradientBoostingConfig::default());
+        let m = GradientBoostingClassifier::fit::<Vec<f32>>(
+            &[],
+            &[],
+            &GradientBoostingConfig::default(),
+        );
         assert!(!m.predict(&[0.0]));
     }
 
@@ -255,10 +308,10 @@ mod tests {
     }
 
     #[test]
-    fn binnable_data_uses_histogram_kernel() {
+    fn binnable_data_uses_the_memoized_grower() {
         let (x, y) = xor_data();
         let m = GradientBoostingClassifier::fit(&x, &y, &GradientBoostingConfig::default());
-        assert!(m.used_binned(), "small-palette features must take the binned path");
+        assert!(m.used_binned(), "small-palette features must take the memoized grower");
     }
 
     #[test]
@@ -282,8 +335,8 @@ mod tests {
         );
     }
 
-    /// `fit_with`'s boosting loop with every stage grown by the exact
-    /// reference [`RegressionTree::fit`] instead of the binned kernel.
+    /// `fit`'s boosting loop, one sample at a time, with every stage grown
+    /// by the exact reference [`RegressionTree::fit`].
     fn fit_exact_reference(
         x: &[Vec<f32>],
         y: &[bool],
@@ -319,12 +372,53 @@ mod tests {
         model
     }
 
+    fn assert_equals_exact_reference(x: &[Vec<f32>], y: &[bool], config: &GradientBoostingConfig) {
+        let memoized = GradientBoostingClassifier::fit(x, y, config);
+        let exact = fit_exact_reference(x, y, config);
+        assert!(memoized.used_binned());
+        assert_eq!(memoized.n_stages(), exact.n_stages());
+        assert_eq!(memoized.trees, exact.trees);
+        for sample in x {
+            assert_eq!(
+                memoized.predict_proba(sample).to_bits(),
+                exact.predict_proba(sample).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn memoized_boosting_equals_exact_reference_on_tied_rows() {
+        // Identical rows carry both labels (two classes of one row), and
+        // -0.0 and +0.0 are equal values in different classes.
+        let rows = [[0.0f32, 1.0, 0.0], [-0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0]];
+        let mut x = Vec::new();
+        let mut y = Vec::new();
+        for i in 0..48 {
+            x.push(rows[i % 4].to_vec());
+            y.push(i % 3 == 0 || (i % 4 == 3 && i % 5 != 0));
+        }
+        let config = GradientBoostingConfig::default();
+        assert_equals_exact_reference(&x, &y, &config);
+        let deep = GradientBoostingConfig { max_depth: 4, min_samples_leaf: 2, ..config };
+        assert_equals_exact_reference(&x, &y, &deep);
+
+        // A NaN row is not binnable: the fit takes the exact path, whose
+        // ordering contract rejects NaN with the reference's panic.
+        x[5][1] = f32::NAN;
+        let fit = std::panic::catch_unwind(|| GradientBoostingClassifier::fit(&x, &y, &config));
+        let reference = std::panic::catch_unwind(|| fit_exact_reference(&x, &y, &config));
+        let message = |e: Box<dyn std::any::Any + Send>| e.downcast_ref::<String>().cloned();
+        let fit = message(fit.expect_err("NaN takes the exact path"));
+        assert_eq!(fit, message(reference.expect_err("the reference rejects NaN")));
+        assert_eq!(fit.as_deref(), Some("finite features"));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
-        // Pins the binned kernel across all boosting stages — where the
-        // dataset's root histogram is reused by every tree — to the exact
-        // reference, on {0,1} flag rows like the pipeline's features.
+        // Pins the memoized grower across all boosting stages — where one
+        // memo serves every tree — to the exact reference, on {0,1} flag
+        // rows like the pipeline's features.
         #[test]
         fn binned_boosting_equals_exact_reference_on_binary_flags(
             prototypes in proptest::collection::vec(
@@ -348,14 +442,14 @@ mod tests {
                 y[0] = !y[0];
             }
             let config = GradientBoostingConfig::default();
-            let binned = GradientBoostingClassifier::fit(&x, &y, &config);
+            let memoized = GradientBoostingClassifier::fit(&x, &y, &config);
             let exact = fit_exact_reference(&x, &y, &config);
-            proptest::prop_assert!(binned.used_binned());
-            proptest::prop_assert_eq!(binned.n_stages(), exact.n_stages());
-            proptest::prop_assert_eq!(&binned.trees, &exact.trees);
+            proptest::prop_assert!(memoized.used_binned());
+            proptest::prop_assert_eq!(memoized.n_stages(), exact.n_stages());
+            proptest::prop_assert_eq!(&memoized.trees, &exact.trees);
             for sample in &x {
                 proptest::prop_assert_eq!(
-                    binned.predict_proba(sample).to_bits(),
+                    memoized.predict_proba(sample).to_bits(),
                     exact.predict_proba(sample).to_bits()
                 );
             }

@@ -2,12 +2,19 @@
 //!
 //! The machine-learning substrate for MaTElDa, built from scratch:
 //!
-//! * [`tree`] — CART regression trees (variance-reduction splits),
+//! * [`tree`] — CART regression trees (variance-reduction splits); its
+//!   exact `RegressionTree::fit` is the reference every faster grower is
+//!   pinned to,
+//! * [`binned`] and `memo` — lossless bin codes and the memoized grower
+//!   boosting uses: each tree node's target-independent split-search
+//!   state is computed once per fit and shared by every boosting stage,
+//!   bit-identical to the reference,
 //! * [`gbm`] — a binary **Gradient Boosting Classifier** (Friedman 2001)
 //!   with logistic loss and Newton leaf values — the per-column error
 //!   classifier of the paper (Alg. 1 lines 20–22: "Similar to prior work,
 //!   we use the Gradient Boosting Classifier, which has shown robust
-//!   performance"),
+//!   performance"); it boosts once per class of identical samples,
+//! * [`forest`] — a random forest, the classifier ablation's alternative,
 //! * [`metrics`] — accuracy and log-loss helpers for model-level tests.
 //!
 //! The classifier intentionally mirrors scikit-learn's
@@ -18,6 +25,7 @@ pub mod binned;
 pub mod classifier;
 pub mod forest;
 pub mod gbm;
+mod memo;
 pub mod metrics;
 pub mod tree;
 

@@ -13,7 +13,8 @@
 //! would still refuse to mix artifacts.
 
 use matelda_table::{
-    csv_paths_sorted, diff_lakes, read_lake_from_dir_with, CellMask, Lake, ReadOptions,
+    csv_paths_sorted, diff_lakes, lake_fingerprint, read_lake_from_dir_with, CellMask, Lake,
+    ReadOptions,
 };
 use std::collections::HashMap;
 use std::io;
@@ -50,6 +51,10 @@ pub struct LakePair {
     /// Ground truth (cells where dirty and clean differ) — the oracle's
     /// answer sheet.
     pub truth: CellMask,
+    /// [`lake_fingerprint`] of `dirty`, computed once per parse: every
+    /// request's memo key is built from it. Only the registry sets it,
+    /// so it always matches `dirty`.
+    pub(crate) fingerprint: u64,
 }
 
 struct Entry {
@@ -92,7 +97,11 @@ impl Registry {
         if dirty.n_tables() != clean.n_tables() {
             return Err(io::Error::other("dirty and clean lakes have different table counts"));
         }
-        let pair = Arc::new(LakePair { truth: diff_lakes(&dirty, &clean), dirty });
+        let pair = Arc::new(LakePair {
+            truth: diff_lakes(&dirty, &clean),
+            fingerprint: lake_fingerprint(&dirty),
+            dirty,
+        });
         entries.insert(key, Entry { dirty_stamps, clean_stamps, pair: Arc::clone(&pair) });
         Ok(pair)
     }
@@ -124,12 +133,15 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &hit), "an unchanged lake is shared, not copied");
         assert_eq!(first.dirty, lake("2x"));
         assert_eq!(first.truth.count(), 1);
+        assert_eq!(first.fingerprint, lake_fingerprint(&first.dirty));
 
         // A rewrite with a different length always changes the stamp.
         write_lake_to_dir(&lake("22"), &dirty_dir).expect("rewrite dirty");
         let reloaded = registry.load(&dirty_dir, &clean_dir).expect("reload");
         assert!(!Arc::ptr_eq(&first, &reloaded), "a changed file must reload");
         assert_eq!(reloaded.dirty, lake("22"));
+        assert_eq!(reloaded.fingerprint, lake_fingerprint(&reloaded.dirty));
+        assert_ne!(reloaded.fingerprint, first.fingerprint, "the reload fingerprints the new lake");
         assert_eq!(first.dirty, lake("2x"), "a shared pair never changes under its holder");
         std::fs::remove_dir_all(&root).expect("cleanup");
     }

@@ -431,7 +431,7 @@ fn run_detect(daemon: &Arc<Daemon>, job: &DetectJob) -> Response {
     let pipeline =
         Matelda::new(config).with_obs(request_obs.clone()).with_executor(daemon.executor.clone());
     let budget = job.budget as usize;
-    let key = pipeline.manifest(&pair.dirty, budget).hash();
+    let key = pipeline.manifest_for(pair.fingerprint, budget).hash();
 
     // Identical concurrent requests serialize on the key lock: the
     // first computes, the rest hit the cache it populated.
