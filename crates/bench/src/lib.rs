@@ -173,41 +173,6 @@ pub fn run_once(system: &dyn ErrorDetector, lake: &GeneratedLake, budget: Budget
     }
 }
 
-/// Averages runs over lakes generated from several seeds. The returned
-/// report and predicted mask are the last seed's (stage proportions are
-/// stable across seeds; metrics stay attributable to one concrete run).
-pub fn run_averaged(
-    system: &dyn ErrorDetector,
-    generate: &dyn Fn(u64) -> GeneratedLake,
-    budget: Budget,
-    seeds: u64,
-) -> RunResult {
-    let (mut precision, mut recall, mut f1, mut seconds) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut labels = 0usize;
-    let mut last: Option<RunResult> = None;
-    for seed in 0..seeds {
-        let lake = generate(seed + 1);
-        let r = run_once(system, &lake, budget);
-        precision += r.precision;
-        recall += r.recall;
-        f1 += r.f1;
-        seconds += r.seconds;
-        labels += r.labels;
-        last = Some(r);
-    }
-    let last = last.expect("at least one seed");
-    let k = seeds as f64;
-    RunResult {
-        precision: precision / k,
-        recall: recall / k,
-        f1: f1 / k,
-        seconds: seconds / k,
-        labels: (labels as f64 / k).round() as usize,
-        report: last.report,
-        predicted: last.predicted,
-    }
-}
-
 /// Prints one system's per-stage report (used by every bench binary to
 /// surface stage timings for its headline runs). Systems without staged
 /// internals produce no output.

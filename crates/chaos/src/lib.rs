@@ -147,21 +147,13 @@ impl FaultPlan {
     /// [`Vfs::recording`] dry run) to perform `n_ops` storage
     /// operations: a site in `0..n_ops` and a kind from
     /// [`IO_FAULT_KINDS`], both pure functions of the plan seed and
-    /// `domain`. Feed the result to [`FaultPlan::io_injector`] /
+    /// `domain`. Arm it with [`InjectAt::new`] and hand that to
     /// [`Vfs::with_injector`].
     pub fn io_fault(&self, domain: &str, n_ops: u64) -> (u64, FaultKind) {
         let mut rng = self.rng(&format!("io:{domain}"));
         let at = rng.random_range(0..n_ops.max(1));
         let kind = IO_FAULT_KINDS[rng.random_range(0..IO_FAULT_KINDS.len())];
         (at, kind)
-    }
-
-    /// An armed single-site injector for the fault
-    /// [`FaultPlan::io_fault`] picks; hand it to [`Vfs::with_injector`]
-    /// and assert `fired() == 1` afterwards.
-    pub fn io_injector(&self, domain: &str, n_ops: u64) -> std::sync::Arc<InjectAt> {
-        let (at, kind) = self.io_fault(domain, n_ops);
-        InjectAt::new(at, kind)
     }
 
     /// Corrupts `k` of the `*.csv` files under `dir` in place (victims

@@ -27,18 +27,18 @@
 //! structured [`CkptError`], never silently reused (see
 //! `DESIGN.md §6`).
 //!
-//! Module map: [`wire`] — bounds-checked little-endian primitives and
-//! [`wire::DecodeError`]; [`manifest`] — the run manifest; [`store`] —
-//! the atomic store, snapshot envelope, and the `MATELDA_CKPT_CRASH`
-//! crash-injection hook used by the chaos harness; [`vfs`] — the
-//! storage seam every durability byte goes through, carrying errno
-//! fault injection, disk-budget enforcement and bounded transient
-//! retry (see `DESIGN.md §12`).
+//! Module map: [`manifest`] — the run manifest; [`store`] — the atomic
+//! store, snapshot envelope, and the `MATELDA_CKPT_CRASH` crash-injection
+//! hook used by the chaos harness; [`vfs`] — the storage seam every
+//! durability byte goes through, carrying errno fault injection,
+//! disk-budget enforcement and bounded transient retry (see
+//! `DESIGN.md §12`). The byte codec itself is
+//! [`matelda_table::wire`], shared with every other binary format of
+//! the repo.
 
 pub mod manifest;
 pub mod store;
 pub mod vfs;
-pub mod wire;
 
 pub use manifest::{Manifest, FORMAT_VERSION};
 pub use store::{
@@ -48,4 +48,3 @@ pub use store::{
 pub use vfs::{
     dir_bytes, AtomicCommit, FaultInjector, FaultKind, InjectAt, IoOp, Vfs, TRANSIENT_RETRIES,
 };
-pub use wire::{DecodeError, Reader, Writer};

@@ -9,8 +9,8 @@
 //! resuming a 4-thread run with 1 thread is explicitly supported.
 
 use crate::store::CkptError;
-use crate::wire::{DecodeError, Reader, Writer};
 use matelda_table::fingerprint::Fnv1a;
+use matelda_table::wire::{DecodeError, Reader, Writer};
 
 /// On-disk checkpoint format version. Bump on any change to the
 /// envelope layout, the manifest layout, or a stage payload codec —
@@ -19,7 +19,10 @@ use matelda_table::fingerprint::Fnv1a;
 ///
 /// v2: `CellFeatures` switched from per-cell vectors to one flat f32
 /// matrix, changing the featurize-stage payload codec.
-pub const FORMAT_VERSION: u32 = 2;
+/// v3: the featurize payload is each table's dictionary encoding
+/// (`CellFeatures::encode_into`, the `.mtf` spill body) instead of the
+/// flattened matrix.
+pub const FORMAT_VERSION: u32 = 3;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"MTLDMANI";
 

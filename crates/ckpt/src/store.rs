@@ -44,9 +44,9 @@ use std::sync::OnceLock;
 
 use crate::manifest::{Manifest, FORMAT_VERSION};
 use crate::vfs::Vfs;
-use crate::wire::{DecodeError, Reader, Writer};
 use matelda_obs::{Obs, Val};
 use matelda_table::fingerprint::Fnv1a;
+use matelda_table::wire::{DecodeError, Reader, Writer};
 
 const ENVELOPE_MAGIC: &[u8; 8] = b"MTLDCKPT";
 const MANIFEST_FILE: &str = "manifest.ckpt";

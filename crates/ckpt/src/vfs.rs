@@ -252,15 +252,6 @@ impl Vfs {
         }
     }
 
-    /// Charges `bytes` against the budget without performing I/O (the
-    /// scan path when adopting pre-existing files). Infallible: adoption
-    /// must reflect reality even when reality is over budget.
-    pub fn budget_charge(&self, bytes: u64) {
-        if let Some(b) = self.inner.as_ref().and_then(|i| i.budget.as_ref()) {
-            b.used.fetch_add(bytes, Ordering::Relaxed);
-        }
-    }
-
     fn try_reserve(&self, bytes: u64) -> io::Result<()> {
         let Some(b) = self.inner.as_ref().and_then(|i| i.budget.as_ref()) else {
             return Ok(());

@@ -144,6 +144,26 @@ impl Default for MateldaConfig {
     }
 }
 
+impl MateldaConfig {
+    /// Applies a paper variant by its short name — the one table behind
+    /// the CLI's `--variant` and the daemon's `DetectJob::variant`:
+    /// `standard` (no change), `edf`, `rs`, `santos`, `sf`, `tpdf` or
+    /// `tucf`. Any other name is an error naming it.
+    pub fn apply_variant(&mut self, name: &str) -> Result<(), String> {
+        match name {
+            "standard" => {}
+            "edf" => self.domain_folding = DomainFolding::ExtremeDomainFolding,
+            "rs" => self.domain_folding = DomainFolding::RowSampling(0.1),
+            "santos" => self.domain_folding = DomainFolding::SantosLike,
+            "sf" => self.syntactic_refinement = true,
+            "tpdf" => self.training = TrainingStrategy::PerDomainFold,
+            "tucf" => self.training = TrainingStrategy::UnlabeledCellFolds,
+            other => return Err(format!("unknown variant {other:?}")),
+        }
+        Ok(())
+    }
+}
+
 /// How [`Matelda::detect_durable`] reacts to the *storage* failing —
 /// the filesystem, not the pipeline (that is [`FaultPolicy`]).
 ///

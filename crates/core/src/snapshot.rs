@@ -14,9 +14,11 @@
 //! indistinguishable from a recomputed one, so a resumed run's output
 //! is bit-identical to an uninterrupted run (`DESIGN.md §6`).
 //!
-//! Byte-level framing (length prefixes, bounds checks, structured
-//! [`DecodeError`]s on truncated or garbled input) comes from
-//! [`matelda_ckpt::wire`]; this module only knows the artifact shapes.
+//! Byte-level framing (length prefixes, bounds checks, the canonical
+//! f32 run, structured [`DecodeError`]s on truncated or garbled input)
+//! comes from [`matelda_table::wire`]; this module only knows the
+//! artifact shapes, and a featurized table's shape is its own
+//! [`CellFeatures::encode_into`] — the `.mtf` spill body.
 //! The codecs live here rather than in `matelda-ckpt` so the dependency
 //! points the right way: the generic store knows nothing about folds,
 //! features or masks.
@@ -27,9 +29,9 @@ use crate::engine::{
     QualityFolds, QuarantineReport,
 };
 use crate::quality_fold::QualityFold;
-use matelda_ckpt::wire::{DecodeError, Reader, Writer};
 use matelda_detect::CellFeatures;
 use matelda_exec::{ItemFault, StageReport};
+use matelda_table::wire::{DecodeError, Reader, Writer};
 use matelda_table::{CellId, CellMask};
 
 /// The run state a stage snapshot carries alongside its artifact: the
@@ -169,92 +171,6 @@ fn decode_state(r: &mut Reader<'_>) -> Result<CtxState, DecodeError> {
 // Shared shapes
 // ---------------------------------------------------------------------
 
-const ONE_BITS: u32 = 0x3F80_0000; // 1.0f32
-
-/// `f32` slices travel in one of two lossless forms, chosen by the
-/// encoder and enforced canonical by the decoder:
-///
-/// * `1` — every value is exactly `+0.0` or `1.0` (the shape of the
-///   histogram-flag feature vectors, which dominate snapshot volume):
-///   one bit per value, LSB first. Empty slices use this form.
-/// * `0` — raw IEEE-754 bit patterns, 4 bytes each, used only when at
-///   least one value is outside `{+0.0, 1.0}`.
-///
-/// A raw run whose values are all `{+0.0, 1.0}` is rejected on decode:
-/// any bytes that decode must re-encode to exactly themselves.
-fn encode_f32s(v: &[f32], w: &mut Writer) {
-    let packable = v.iter().all(|x| matches!(x.to_bits(), 0 | ONE_BITS));
-    if packable {
-        w.write_u8(1);
-        w.write_varint(v.len() as u64);
-        // Feature vectors are short (tens of values), so the packed run
-        // fits a stack buffer; one heap allocation per cell would
-        // dominate the encode cost of a large lake.
-        let mut stack = [0u8; 64];
-        let n_bytes = v.len().div_ceil(8);
-        let mut heap;
-        let packed: &mut [u8] = if n_bytes <= stack.len() {
-            &mut stack[..n_bytes]
-        } else {
-            heap = vec![0u8; n_bytes];
-            &mut heap
-        };
-        for (i, x) in v.iter().enumerate() {
-            if x.to_bits() == ONE_BITS {
-                packed[i / 8] |= 1 << (i % 8);
-            }
-        }
-        w.write_raw(packed);
-    } else {
-        w.write_u8(0);
-        w.write_varint(v.len() as u64);
-        w.reserve(v.len() * 4);
-        for &x in v {
-            w.write_u32(x.to_bits());
-        }
-    }
-}
-
-fn decode_f32s(r: &mut Reader<'_>) -> Result<Vec<f32>, DecodeError> {
-    match r.read_u8()? {
-        1 => {
-            let n = r.read_varint()? as usize;
-            let n_bytes = n.div_ceil(8);
-            if n_bytes > r.remaining() {
-                return Err(DecodeError::LengthOverflow {
-                    len: n as u64,
-                    remaining: r.remaining(),
-                });
-            }
-            let packed = r.read_raw(n_bytes)?;
-            // Unused bits past `n` in the last byte must be zero, or the
-            // same values would have a second valid encoding.
-            if !n.is_multiple_of(8) && packed[n_bytes - 1] >> (n % 8) != 0 {
-                return Err(DecodeError::Malformed("nonzero padding in packed f32 run".into()));
-            }
-            Ok((0..n)
-                .map(|i| if packed[i / 8] & (1 << (i % 8)) != 0 { 1.0 } else { 0.0 })
-                .collect())
-        }
-        0 => {
-            let n = r.read_varint_len()?;
-            let mut out = Vec::with_capacity(n.min(r.remaining()));
-            let mut packable = true;
-            for _ in 0..n {
-                let bits = r.read_u32()?;
-                packable &= matches!(bits, 0 | ONE_BITS);
-                out.push(f32::from_bits(bits));
-            }
-            if packable {
-                // Includes the empty slice: the encoder always packs it.
-                return Err(DecodeError::Malformed("non-canonical raw f32 run".into()));
-            }
-            Ok(out)
-        }
-        tag => Err(DecodeError::Malformed(format!("f32 run tag {tag}"))),
-    }
-}
-
 fn encode_cell_id(id: CellId, w: &mut Writer) {
     w.write_varint(id.table as u64);
     w.write_varint(id.row as u64);
@@ -273,7 +189,7 @@ fn encode_quality_fold(fold: &QualityFold, w: &mut Writer) {
     for &id in &fold.cells {
         encode_cell_id(id, w);
     }
-    encode_f32s(&fold.centroid, w);
+    w.write_f32s(&fold.centroid);
 }
 
 fn decode_quality_fold(r: &mut Reader<'_>) -> Result<QualityFold, DecodeError> {
@@ -281,7 +197,7 @@ fn decode_quality_fold(r: &mut Reader<'_>) -> Result<QualityFold, DecodeError> {
     for _ in 0..r.read_varint_len()? {
         cells.push(decode_cell_id(r)?);
     }
-    let centroid = decode_f32s(r)?;
+    let centroid = r.read_f32s()?;
     Ok(QualityFold { cells, centroid })
 }
 
@@ -296,7 +212,7 @@ impl ArtifactCodec for EmbeddedLake {
                 w.write_u8(0);
                 w.write_varint(vecs.len() as u64);
                 for v in vecs {
-                    encode_f32s(v, w);
+                    w.write_f32s(v);
                 }
             }
             EmbeddedLake::Unionability(rows) => {
@@ -318,7 +234,7 @@ impl ArtifactCodec for EmbeddedLake {
             0 => {
                 let mut vecs = Vec::new();
                 for _ in 0..r.read_varint_len()? {
-                    vecs.push(decode_f32s(r)?);
+                    vecs.push(r.read_f32s()?);
                 }
                 Ok(EmbeddedLake::Vectors(vecs))
             }
@@ -344,35 +260,14 @@ impl ArtifactCodec for FeaturizedLake {
     fn encode_into(&self, w: &mut Writer) {
         w.write_varint(self.features.len() as u64);
         for f in &self.features {
-            w.write_varint(f.n_cols as u64);
-            w.write_varint(f.n_rows as u64);
-            w.write_varint(f.dim as u64);
-            // The matrix encodes as one f32 run — long {0,1} spans
-            // bit-pack across cell boundaries now, not per cell. The
-            // dictionary store is flattened transiently (one table's
-            // worth) to keep snapshot bytes identical to the flat-era
-            // format, so `FORMAT_VERSION` needs no bump.
-            encode_f32s(&f.to_flat(), w);
+            f.encode_into(w);
         }
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let mut features = Vec::new();
         for _ in 0..r.read_varint_len()? {
-            let n_cols = r.read_varint()? as usize;
-            let n_rows = r.read_varint()? as usize;
-            let dim = r.read_varint()? as usize;
-            let data = decode_f32s(r)?;
-            let n_cells = n_cols.saturating_mul(n_rows);
-            // Every cell holds a code, so cells without dimensions would
-            // size that table by the claim alone.
-            if data.len() != n_cells.saturating_mul(dim) || (dim == 0 && n_cells > 0) {
-                return Err(DecodeError::Malformed(format!(
-                    "CellFeatures payload {} != {n_rows}x{n_cols}x{dim}",
-                    data.len()
-                )));
-            }
-            features.push(CellFeatures::from_flat(n_cols, n_rows, dim, data));
+            features.push(CellFeatures::decode_from(r)?);
         }
         Ok(FeaturizedLake { features })
     }
@@ -595,16 +490,38 @@ mod tests {
         assert_eq!(got.features[0].get(0, 1), &[-1.0; 3]);
     }
 
+    /// 2^40 × 2^20 cells of dimension 0 claim no pattern values at all;
+    /// their codes are what the input cannot back, and that is checked
+    /// before the codes are sized by the claim.
     #[test]
-    fn featurized_cells_without_dimensions_are_malformed() {
-        // 2^40 × 2^20 cells of dimension 0 claim no value bytes at all.
+    fn featurized_cells_the_input_cannot_back_are_rejected() {
         let mut w = Writer::new();
-        for v in [1, 1 << 40, 1 << 20, 0] {
+        for v in [1, 1 << 40, 1 << 20, 0, 1] {
             w.write_varint(v);
         }
-        encode_f32s(&[], &mut w);
+        w.write_f32s(&[]);
+        w.write_varint(0);
         let bytes = w.into_bytes();
-        assert!(FeaturizedLake::decode_from(&mut Reader::new(&bytes)).is_err());
+        assert!(matches!(
+            FeaturizedLake::decode_from(&mut Reader::new(&bytes)),
+            Err(DecodeError::LengthOverflow { len, .. }) if len == 1 << 60
+        ));
+    }
+
+    #[test]
+    fn a_featurized_table_snapshots_as_its_spill_body() {
+        let f = CellFeatures::from_vectors(
+            2,
+            2,
+            &[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![-0.0, 1.0]],
+        );
+        let spill = matelda_detect::spill::encode_features(&f);
+        let mut w = Writer::new();
+        FeaturizedLake { features: vec![f] }.encode_into(&mut w);
+        let snapshot = w.into_bytes();
+        // The snapshot is the table count, then each table's section;
+        // the spill is a magic and a version, then the same section.
+        assert_eq!(snapshot[1..], spill[8..]);
     }
 
     #[test]

@@ -5,9 +5,10 @@ use crate::outlier::{
     gaussian_flags_distinct, histogram_flags_distinct, histogram_flags_eq2_literal_distinct,
 };
 use crate::rules::{rule_signals_with, RuleSignals};
+use matelda_table::wire::{DecodeError, Reader, Writer};
 use matelda_table::Table;
 use matelda_text::SpellChecker;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Dimensionality of the unified cell feature space: 9 histogram + 9
 /// Gaussian + 1 typo + 3 structural FD + 5 `nv_LHS` + 5 `nv_RHS` + 1
@@ -188,23 +189,6 @@ impl CellFeatures {
         Self { n_cols, n_rows, dim, patterns, n_patterns: index.len(), codes }
     }
 
-    /// Reassembles from a pattern table and per-cell codes (the spill
-    /// reload path); `None` if the parts disagree with the shape or a
-    /// code is out of range.
-    pub(crate) fn from_parts(
-        n_cols: usize,
-        n_rows: usize,
-        dim: usize,
-        n_patterns: usize,
-        patterns: Vec<f32>,
-        codes: Vec<u32>,
-    ) -> Option<Self> {
-        let consistent = Some(patterns.len()) == n_patterns.checked_mul(dim)
-            && Some(codes.len()) == n_rows.checked_mul(n_cols)
-            && codes.iter().all(|&c| (c as usize) < n_patterns);
-        consistent.then_some(Self { n_cols, n_rows, dim, patterns, n_patterns, codes })
-    }
-
     /// An all-zero feature matrix of the given shape.
     pub fn zeros(n_cols: usize, n_rows: usize, dim: usize) -> Self {
         let cells = std::iter::repeat_n((), n_rows * n_cols);
@@ -212,7 +196,7 @@ impl CellFeatures {
     }
 
     /// Builds from the flat row-major matrix (`n_rows * n_cols * dim`
-    /// values). The snapshot decoder comes through here.
+    /// values).
     ///
     /// # Panics
     /// Panics if `data.len()` disagrees with the shape.
@@ -285,8 +269,84 @@ impl CellFeatures {
         self.codes.iter().map(|&c| self.pattern(c))
     }
 
+    /// Appends the table's one binary encoding — the body of its `.mtf`
+    /// spill and its section of the featurize snapshot:
+    ///
+    /// ```text
+    /// n_cols | n_rows | dim | n_patterns      varints
+    /// patterns                                one f32 run of n_patterns·dim values
+    /// codes                                   n_rows·n_cols varints, row-major
+    /// ```
+    ///
+    /// Pipeline patterns are {0,1} flags, so the pattern table packs to
+    /// one bit per value ([`Writer::write_f32s`]).
+    pub fn encode_into(&self, w: &mut Writer) {
+        for n in [self.n_cols, self.n_rows, self.dim, self.n_patterns] {
+            w.write_varint(n as u64);
+        }
+        w.write_f32s(&self.patterns);
+        for &code in &self.codes {
+            w.write_varint(u64::from(code));
+        }
+    }
+
+    /// Decodes what [`CellFeatures::encode_into`] wrote, accepting only
+    /// the canonical form this type builds — patterns pairwise distinct
+    /// by bits, first used in code order (each code is at most one past
+    /// the largest before it) and all used — so the bytes that decode are
+    /// exactly the ones interning the same cell values writes, and
+    /// decode-then-re-encode is byte-identical. The cell count is checked
+    /// against the bytes left (a code takes at least one) before the
+    /// codes are sized by it.
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let malformed = |what: String| DecodeError::Malformed(format!("CellFeatures: {what}"));
+        let mut shape = [0usize; 4];
+        for n in &mut shape {
+            *n = usize::try_from(r.read_varint()?)
+                .map_err(|_| malformed("size exceeds the address space".into()))?;
+        }
+        let [n_cols, n_rows, dim, n_patterns] = shape;
+        let patterns = r.read_f32s()?;
+        if Some(patterns.len()) != n_patterns.checked_mul(dim) {
+            return Err(malformed(format!("{} values for {n_patterns}x{dim}", patterns.len())));
+        }
+        let n_cells = n_rows
+            .checked_mul(n_cols)
+            .ok_or_else(|| malformed(format!("{n_rows}x{n_cols} cells overflow")))?;
+        if n_cells > r.remaining() {
+            return Err(DecodeError::LengthOverflow {
+                len: n_cells as u64,
+                remaining: r.remaining(),
+            });
+        }
+        let mut codes = Vec::with_capacity(n_cells);
+        let mut used = 0; // patterns first used so far
+        for _ in 0..n_cells {
+            let code = r.read_varint()?;
+            if code > used || code >= n_patterns as u64 {
+                return Err(malformed(format!("code {code} after {used} first uses")));
+            }
+            used += u64::from(code == used);
+            codes.push(u32::try_from(code).map_err(|_| malformed("code exceeds u32".into()))?);
+        }
+        if used != n_patterns as u64 {
+            return Err(malformed(format!("{used} of {n_patterns} patterns used")));
+        }
+        // With no dimensions, every cell holds the one empty pattern.
+        let bits: Vec<u32> = patterns.iter().map(|v| v.to_bits()).collect();
+        let mut seen = HashSet::with_capacity(n_patterns);
+        let distinct = match dim {
+            0 => n_patterns <= 1,
+            _ => bits.chunks_exact(dim).all(|p| seen.insert(p)),
+        };
+        if !distinct {
+            return Err(malformed("repeated pattern".into()));
+        }
+        Ok(Self { n_cols, n_rows, dim, patterns, n_patterns, codes })
+    }
+
     /// Materializes the flat row-major matrix (one contiguous copy) —
-    /// for codecs that need a single run, not for hot paths.
+    /// for equality checks and fixtures, not for hot paths.
     pub fn to_flat(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.n_values());
         self.cells().for_each(|v| out.extend_from_slice(v));
@@ -503,6 +563,35 @@ mod tests {
         let again = CellFeatures::from_flat(t.n_cols, t.n_rows, t.dim, t.to_flat());
         assert_eq!(again.codes, t.codes);
         assert_eq!(bits(&again.patterns), bits(&t.patterns));
+    }
+
+    #[test]
+    fn only_the_canonical_dictionary_encoding_decodes() {
+        // One row of three 2-value cells, written as given.
+        let raw = |n_patterns: u64, patterns: &[f32], codes: [u64; 3]| {
+            let mut w = Writer::new();
+            [3, 1, 2, n_patterns].into_iter().for_each(|n| w.write_varint(n));
+            w.write_f32s(patterns);
+            codes.into_iter().for_each(|c| w.write_varint(c));
+            w.into_bytes()
+        };
+        let decode = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            CellFeatures::decode_from(&mut r).and_then(|f| r.finish().map(|()| f))
+        };
+        let good = raw(2, &[1.0, 0.0, 0.0, 1.0], [0, 1, 0]);
+        let f = decode(&good).expect("the canonical form decodes");
+        assert_eq!(f.codes, vec![0, 1, 0]);
+        let mut w = Writer::new();
+        f.encode_into(&mut w);
+        assert_eq!(w.into_bytes(), good);
+        for (what, bytes) in [
+            ("repeated pattern", raw(2, &[1.0, 0.0, 1.0, 0.0], [0, 1, 0])),
+            ("unused pattern", raw(2, &[1.0, 0.0, 0.0, 1.0], [0, 0, 0])),
+            ("code skipping first-seen order", raw(2, &[1.0, 0.0, 0.0, 1.0], [1, 0, 1])),
+        ] {
+            assert!(matches!(decode(&bytes), Err(DecodeError::Malformed(_))), "{what}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! table.
 
 use matelda_table::value::as_f64;
-use matelda_table::{DataType, Table};
+use matelda_table::DataType;
 use std::collections::HashMap;
 
 /// The paper's TF-histogram threshold grid Θ_tf.
@@ -226,16 +226,6 @@ pub fn histogram_flags_eq2_literal(values: &[String]) -> Vec<[bool; 9]> {
             }
             flags
         })
-        .collect()
-}
-
-/// Both outlier families for every cell of every column of a table,
-/// as `(histogram, gaussian)` row-major per column.
-pub fn table_outlier_flags(table: &Table) -> Vec<(Vec<[bool; 9]>, Vec<[bool; 9]>)> {
-    table
-        .columns
-        .iter()
-        .map(|c| (histogram_flags(&c.values), gaussian_flags(&c.values, c.data_type())))
         .collect()
 }
 

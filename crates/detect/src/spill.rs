@@ -7,23 +7,24 @@
 //! [`ChunkSource`] seam (fault-injectable when the caller passes the
 //! ckpt VFS), and the driver reloads every spill after featurize.
 //!
-//! The file is the dictionary encoding itself — the pattern table as raw
-//! little-endian f32s, then one `u32` code per cell — so a reload costs
-//! the file's bytes once, transiently, and the values round-trip bit for
-//! bit (NaN payloads included), which the in-memory/out-of-core digest
-//! contract (DESIGN.md §14) requires. Every size the header claims is
-//! checked against the file's length before anything is allocated, and
-//! every code against the pattern count, so a crafted or torn file is
-//! [`ChunkedError::Corrupt`], never a panic or a huge allocation.
+//! A `.mtf` file is a magic, a version and the table's one binary
+//! encoding, [`CellFeatures::encode_into`] — the same bytes as the
+//! table's section of the featurize snapshot. A reload costs the file's
+//! bytes once, transiently; values round-trip bit for bit (NaN payloads
+//! included), which the in-memory/out-of-core digest contract
+//! (DESIGN.md §14) requires. The file decodes through the total
+//! [`Reader`], so a crafted or torn file is [`ChunkedError::Corrupt`],
+//! never a panic or an allocation the file cannot back.
 
 use crate::featurize::CellFeatures;
 use matelda_table::chunked::{ChunkSource, ChunkedError};
+use matelda_table::wire::{DecodeError, Reader, Writer};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a spilled feature file.
 pub const SPILL_MAGIC: &[u8; 4] = b"MTFS";
 /// Spill format version; bump on any layout change.
-pub const SPILL_VERSION: u32 = 2;
+pub const SPILL_VERSION: u32 = 3;
 /// File extension of spilled feature files.
 pub const SPILL_EXT: &str = "mtf";
 
@@ -35,19 +36,14 @@ pub fn spill_path(dir: &Path, table_index: usize) -> PathBuf {
 /// Serializes one table's features:
 ///
 /// ```text
-/// "MTFS" | version:u32 | n_cols:u64 | n_rows:u64 | dim:u64 | n_patterns:u64
-///        | f32-LE × n_patterns·dim | u32-LE code × n_rows·n_cols
+/// "MTFS" | version:u32 | CellFeatures::encode_into
 /// ```
 pub fn encode_features(f: &CellFeatures) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + (f.patterns.len() + f.codes.len()) * 4);
-    out.extend_from_slice(SPILL_MAGIC);
-    out.extend_from_slice(&SPILL_VERSION.to_le_bytes());
-    for n in [f.n_cols, f.n_rows, f.dim, f.n_patterns()] {
-        out.extend_from_slice(&(n as u64).to_le_bytes());
-    }
-    f.patterns.iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
-    f.codes.iter().for_each(|c| out.extend_from_slice(&c.to_le_bytes()));
-    out
+    let mut w = Writer::new();
+    w.write_raw(SPILL_MAGIC);
+    w.write_u32(SPILL_VERSION);
+    f.encode_into(&mut w);
+    w.into_bytes()
 }
 
 /// Writes `f` to `path` atomically through the source.
@@ -63,62 +59,22 @@ pub fn spill_features(
     Ok(())
 }
 
-const HEADER_LEN: usize = 4 + 4 + 4 * 8;
-
-/// Reads one spill back. The header's sizes are checked — overflow, the
-/// exact file length, at most one pattern per cell — before the payload
-/// is read, and every code is checked against the pattern count.
+/// Reads one spill back: the whole file, decoded and consumed exactly.
 pub fn load_features(src: &dyn ChunkSource, path: &Path) -> Result<CellFeatures, ChunkedError> {
-    let corrupt = |what: &str| ChunkedError::Corrupt(what.to_string());
-    let header = src.read_range(path, 0, HEADER_LEN)?;
-    if header.len() < HEADER_LEN {
-        return Err(corrupt("spill file shorter than header"));
+    let len = usize::try_from(src.file_len(path)?)
+        .map_err(|_| ChunkedError::Corrupt("spill too large for this platform".into()))?;
+    let bytes = src.read_range(path, 0, len)?;
+    let mut r = Reader::new(&bytes);
+    if r.read_raw(4)? != SPILL_MAGIC {
+        return Err(DecodeError::BadMagic { expected: "MTFS" }.into());
     }
-    if &header[..4] != SPILL_MAGIC {
-        return Err(corrupt("bad spill magic"));
-    }
-    let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let version = r.read_u32()?;
     if version != SPILL_VERSION {
-        return Err(corrupt(&format!("spill version {version}, expected {SPILL_VERSION}")));
+        return Err(DecodeError::BadVersion { found: version, expected: SPILL_VERSION }.into());
     }
-    let field =
-        |i: usize| u64::from_le_bytes(header[8 + 8 * i..16 + 8 * i].try_into().expect("8 bytes"));
-    let (n_cols, n_rows, dim, n_patterns) = (field(0), field(1), field(2), field(3));
-    // Checked: a crafted header must neither overflow nor size an
-    // allocation the file cannot back.
-    let sizes = (|| {
-        let (n_cells, n_values) = (n_rows.checked_mul(n_cols)?, n_patterns.checked_mul(dim)?);
-        let len = n_values.checked_add(n_cells)?.checked_mul(4)?.checked_add(HEADER_LEN as u64)?;
-        Some((n_cells, n_values, len))
-    })();
-    let Some((n_cells, n_values, len)) = sizes else {
-        return Err(corrupt("spill shape overflows"));
-    };
-    if src.file_len(path)? != len || n_patterns > n_cells {
-        return Err(corrupt(&format!(
-            "spill payload length != {n_patterns} patterns x {dim} + {n_rows}x{n_cols} codes"
-        )));
-    }
-    let size =
-        |v: u64| usize::try_from(v).map_err(|_| corrupt("spill too large for this platform"));
-    let payload = size(len - HEADER_LEN as u64)?;
-    let bytes = src.read_range(path, HEADER_LEN as u64, payload)?;
-    if bytes.len() < payload {
-        return Err(corrupt("spill payload truncated"));
-    }
-    let (pattern_bytes, code_bytes) = bytes.split_at(size(n_values)? * 4);
-    let word = |b: &[u8]| <[u8; 4]>::try_from(b).expect("4 bytes");
-    let patterns = pattern_bytes.chunks_exact(4).map(|b| f32::from_le_bytes(word(b))).collect();
-    let codes = code_bytes.chunks_exact(4).map(|b| u32::from_le_bytes(word(b))).collect();
-    CellFeatures::from_parts(
-        size(n_cols)?,
-        size(n_rows)?,
-        size(dim)?,
-        size(n_patterns)?,
-        patterns,
-        codes,
-    )
-    .ok_or_else(|| corrupt("spill code out of range"))
+    let features = CellFeatures::decode_from(&mut r)?;
+    r.finish()?;
+    Ok(features)
 }
 
 #[cfg(test)]
@@ -136,9 +92,9 @@ mod tests {
     }
 
     /// One file held in memory, so the decoder tests need no disk. A read
-    /// longer than the file (beyond the fixed-size header probe) panics:
-    /// `StdFs` would allocate that length up front, so such a read means
-    /// the decoder trusted a length the file cannot back.
+    /// longer than the file panics: `StdFs` would allocate that length up
+    /// front, so such a read means the decoder trusted a length the file
+    /// cannot back.
     struct Mem(Vec<u8>);
 
     impl ChunkSource for Mem {
@@ -146,7 +102,7 @@ mod tests {
             Ok(self.0.len() as u64)
         }
         fn read_range(&self, _: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-            assert!(len <= self.0.len().max(HEADER_LEN), "read of {len} bytes trusts the header");
+            assert!(len <= self.0.len(), "read of {len} bytes trusts the header");
             let start = usize::try_from(offset).map_or(self.0.len(), |o| o.min(self.0.len()));
             Ok(self.0[start..].iter().take(len).copied().collect())
         }
@@ -228,23 +184,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
-    /// Overwrites header field `i` (0 = n_cols, 1 = n_rows, 2 = dim,
-    /// 3 = n_patterns).
-    fn with_field(mut bytes: Vec<u8>, i: usize, value: u64) -> Vec<u8> {
-        bytes[8 + 8 * i..16 + 8 * i].copy_from_slice(&value.to_le_bytes());
-        bytes
+    /// A spill whose shape is `[n_cols, n_rows, dim, n_patterns]`,
+    /// followed by `body` (the pattern run and the codes).
+    fn spill_with_shape(shape: [u64; 4], body: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.write_raw(SPILL_MAGIC);
+        w.write_u32(SPILL_VERSION);
+        shape.iter().for_each(|&n| w.write_varint(n));
+        w.write_raw(body);
+        w.into_bytes()
     }
 
-    /// Regression: a header claiming 2^62 rows made the size check
-    /// overflow — a debug build panicked, and a release build wrapped past
-    /// the check and aborted allocating the claimed payload. Through the
+    /// A header claiming 2^62 rows is corrupt before anything is sized by
+    /// it: its cell count overflows any byte arithmetic, and a release
+    /// build would wrap past such a check silently. Through the
     /// real file system, as the out-of-core driver reads it.
     #[test]
     fn a_huge_row_count_in_the_header_is_corrupt_not_an_allocation() {
         let dir = tmpdir("huge_rows");
-        let one_cell = encode_features(&CellFeatures::from_vectors(1, 1, &[vec![1.0]]));
-        let mut bytes = with_field(one_cell, 1, 1 << 62);
-        bytes.truncate(HEADER_LEN);
+        // One packed pattern of one value, then a single code.
+        let bytes = spill_with_shape([1, 1 << 62, 1, 1], &[1, 1, 1, 0]);
         let path = dir.join("huge.mtf");
         std::fs::write(&path, &bytes).expect("write");
         assert!(matches!(load_features(&StdFs, &path), Err(ChunkedError::Corrupt(_))));
@@ -256,20 +215,22 @@ mod tests {
         let f = CellFeatures::from_vectors(2, 1, &[vec![1.0, 0.0], vec![0.0, 1.0]]);
         let good = encode_features(&f);
         assert_eq!(f.n_patterns(), 2);
-        // A pattern count whose payload overflows, one the file cannot
-        // back, and one above the cell count with a dimension of zero (so
-        // it claims no pattern bytes at all).
+        // The packed 4-value run (tag, length, one byte), then codes 0 and 1.
+        let body = &good[good.len() - 5..];
+        assert_eq!(bits(&load(spill_with_shape([2, 1, 2, 2], body)).expect("loads")), bits(&f));
+        // A pattern count whose values overflow, one the pattern run
+        // cannot back, and one above the cell count with a dimension of
+        // zero (so it claims no pattern values at all).
         for bytes in [
-            with_field(good.clone(), 3, u64::MAX / 2),
-            with_field(good.clone(), 3, 1 << 40),
-            with_field(with_field(good.clone(), 2, 0), 3, 1 << 40),
+            spill_with_shape([2, 1, 2, u64::MAX / 2], body),
+            spill_with_shape([2, 1, 2, 1 << 40], body),
+            spill_with_shape([2, 1, 0, 1 << 40], &[1, 0, 0, 0]),
         ] {
             assert!(matches!(load(bytes), Err(ChunkedError::Corrupt(_))));
         }
         // The last code, rewritten to point past the pattern table.
         let mut bad_code = good.clone();
-        let at = bad_code.len() - 4;
-        bad_code[at..].copy_from_slice(&2u32.to_le_bytes());
+        *bad_code.last_mut().expect("a code") = 2;
         assert!(matches!(load(bad_code), Err(ChunkedError::Corrupt(_))));
         assert_eq!(bits(&load(good).expect("untouched file loads")), bits(&f));
     }
@@ -277,10 +238,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        // Arbitrary bytes behind a valid magic and version, with header
-        // fields that are small or arbitrary: the decoder returns a
-        // value or a structured error, and never panics or reads a
-        // length the file cannot back (`Mem` panics on such a read).
+        // Arbitrary bytes behind a valid magic and version, with shape
+        // varints that are small or arbitrary: the decoder returns a
+        // value or a structured error, and never panics or reads a length
+        // the file cannot back (`Mem` panics on such a read). What loads
+        // is canonical: it re-encodes to exactly the file, and so do its
+        // values re-interned by `from_flat`.
         #[test]
         fn load_features_never_panics_on_arbitrary_bytes(
             fields in proptest::collection::vec(
@@ -290,16 +253,16 @@ mod tests {
             tail in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..96),
             prefix in 0usize..2,
         ) {
-            let mut bytes = Vec::new();
-            if prefix == 1 {
-                bytes.extend_from_slice(SPILL_MAGIC);
-                bytes.extend_from_slice(&SPILL_VERSION.to_le_bytes());
-                fields.iter().for_each(|v| bytes.extend_from_slice(&v.to_le_bytes()));
-            }
-            bytes.extend_from_slice(&tail);
+            let bytes = if prefix == 1 {
+                spill_with_shape([fields[0], fields[1], fields[2], fields[3]], &tail)
+            } else {
+                tail
+            };
             if let Ok(f) = load(bytes.clone()) {
                 proptest::prop_assert!(f.cells().count() == f.n_cells());
-                proptest::prop_assert_eq!(encode_features(&f), bytes);
+                proptest::prop_assert_eq!(encode_features(&f), bytes.clone());
+                let rebuilt = CellFeatures::from_flat(f.n_cols, f.n_rows, f.dim, f.to_flat());
+                proptest::prop_assert_eq!(encode_features(&rebuilt), bytes);
             }
         }
 

@@ -131,35 +131,6 @@ impl DGovLake {
             .collect();
         assemble(tables, &specs)
     }
-
-    /// Total rows this configuration will generate in expectation — used
-    /// by scalability harnesses for reporting.
-    pub fn expected_rows(&self) -> usize {
-        self.n_tables * (self.rows.0 + self.rows.1) / 2
-    }
-}
-
-/// Convenience: sub-lake of `lake` restricted to its first `n` tables
-/// (with masks re-derived), for table-count sweeps.
-pub fn truncate_lake(lake: &GeneratedLake, n: usize) -> GeneratedLake {
-    let idx: Vec<usize> = (0..n.min(lake.dirty.n_tables())).collect();
-    let dirty = lake.dirty.project(&idx);
-    let clean = lake.clean.project(&idx);
-    let errors = matelda_table::diff_lakes(&dirty, &clean);
-    let typed_errors = lake
-        .typed_errors
-        .iter()
-        .map(|(name, mask)| {
-            let mut m = matelda_table::CellMask::empty(&dirty);
-            for id in mask.iter_set() {
-                if id.table < idx.len() {
-                    m.set(id, true);
-                }
-            }
-            (name.clone(), m)
-        })
-        .collect();
-    GeneratedLake { dirty, clean, errors, typed_errors }
 }
 
 #[cfg(test)]
@@ -209,18 +180,5 @@ mod tests {
         // At least one domain appears with two different widths.
         let domains: std::collections::HashSet<&String> = widths.iter().map(|(d, _)| d).collect();
         assert!(widths.len() > domains.len(), "no schema variation: {widths:?}");
-    }
-
-    #[test]
-    fn truncation_preserves_alignment() {
-        let mut cfg = DGovLake::typo();
-        cfg.n_tables = 12;
-        let lake = cfg.generate(2);
-        let sub = truncate_lake(&lake, 5);
-        assert_eq!(sub.dirty.n_tables(), 5);
-        assert_eq!(sub.errors.count(), matelda_table::diff_lakes(&sub.dirty, &sub.clean).count());
-        for (_, m) in &sub.typed_errors {
-            assert_eq!(m.and(&sub.errors).count(), m.count());
-        }
     }
 }

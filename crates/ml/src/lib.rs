@@ -14,8 +14,7 @@
 //!   classifier of the paper (Alg. 1 lines 20–22: "Similar to prior work,
 //!   we use the Gradient Boosting Classifier, which has shown robust
 //!   performance"); it boosts once per class of identical samples,
-//! * [`forest`] — a random forest, the classifier ablation's alternative,
-//! * [`metrics`] — accuracy and log-loss helpers for model-level tests.
+//! * [`forest`] — a random forest, the classifier ablation's alternative.
 //!
 //! The classifier intentionally mirrors scikit-learn's
 //! `GradientBoostingClassifier` defaults in spirit (shallow trees, shrinkage)
@@ -26,7 +25,6 @@ pub mod classifier;
 pub mod forest;
 pub mod gbm;
 mod memo;
-pub mod metrics;
 pub mod tree;
 
 pub use binned::BinnedDataset;

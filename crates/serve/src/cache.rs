@@ -16,7 +16,8 @@
 //! wrong answer.
 
 use crate::proto::{decode_outcome, encode_outcome, DetectOutcome};
-use matelda_ckpt::{decode_envelope, encode_envelope, Reader, Vfs, Writer};
+use matelda_ckpt::{decode_envelope, encode_envelope, Vfs};
+use matelda_table::wire::{Reader, Writer};
 use std::io;
 use std::path::{Path, PathBuf};
 

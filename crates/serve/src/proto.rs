@@ -13,15 +13,15 @@
 //!
 //! ## Payload encoding
 //!
-//! Payloads reuse the checkpoint layer's canonical codec
-//! ([`matelda_ckpt::Reader`]/[`matelda_ckpt::Writer`]): a magic byte,
+//! Payloads use the repo's one canonical codec
+//! ([`matelda_table::wire::Reader`]/[`Writer`]): a magic byte,
 //! a protocol version, a message tag, then tagged fields. The decoder
 //! is *total* — every byte sequence either decodes or returns a
 //! [`DecodeError`]; it never panics and never allocates more than the
 //! frame it was handed (proven by the never-panic proptests in
 //! `tests/proto.rs`).
 
-use matelda_ckpt::{DecodeError, Reader, Writer};
+use matelda_table::wire::{DecodeError, Reader, Writer};
 use std::io::{self, Read, Write};
 
 /// Hard cap on a frame's payload length. Requests and responses are a

@@ -32,10 +32,7 @@ use crate::proto::{
 use crate::registry::Registry;
 use crate::storage::{ActiveKey, StateStore};
 use matelda_ckpt::{dir_bytes, Vfs};
-use matelda_core::{
-    CkptError, DomainFolding, Durability, DurabilityPolicy, FaultPolicy, Matelda, MateldaConfig,
-    TrainingStrategy,
-};
+use matelda_core::{CkptError, Durability, DurabilityPolicy, FaultPolicy, Matelda, MateldaConfig};
 use matelda_exec::{panic_message, Executor};
 use matelda_obs::{Obs, Val};
 use std::collections::HashMap;
@@ -375,19 +372,12 @@ fn respond(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
     write_frame(stream, &encode_response(resp))
 }
 
-/// Maps a job's variant string onto the same config mutations the CLI
-/// applies.
+/// The run configuration of a job: its seed, its variant through the
+/// table the CLI uses (an empty variant is `standard`), and its deadline.
 fn config_for(job: &DetectJob) -> Result<MateldaConfig, String> {
     let mut config = MateldaConfig { seed: job.seed, ..Default::default() };
-    match job.variant.as_str() {
-        "standard" | "" => {}
-        "edf" => config.domain_folding = DomainFolding::ExtremeDomainFolding,
-        "rs" => config.domain_folding = DomainFolding::RowSampling(0.1),
-        "santos" => config.domain_folding = DomainFolding::SantosLike,
-        "sf" => config.syntactic_refinement = true,
-        "tpdf" => config.training = TrainingStrategy::PerDomainFold,
-        "tucf" => config.training = TrainingStrategy::UnlabeledCellFolds,
-        other => return Err(format!("unknown variant {other:?}")),
+    if !job.variant.is_empty() {
+        config.apply_variant(&job.variant)?;
     }
     if job.deadline_ms > 0 {
         // Degrade through the stage watchdog instead of aborting: a

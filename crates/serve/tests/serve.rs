@@ -117,6 +117,15 @@ fn daemon_answer_is_digest_equal_to_a_direct_run() {
     assert!(!outcome.cached);
     assert!(outcome.stages_run > 0, "a first run must actually execute stages");
     assert_eq!(outcome.stages_restored, 0);
+    // An unknown variant is a bad request naming it, exactly as the CLI's
+    // `--variant bogus` is a usage error (`tests/cli_integration.rs`).
+    let bogus = DetectJob { variant: "bogus".to_string(), ..job(&dirty, &clean, 5) };
+    match request(addr, &Request::Detect(bogus)).expect("request must succeed") {
+        Response::Error { kind: ErrorKind::BadRequest, message } => {
+            assert_eq!(message, "unknown variant \"bogus\"");
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
 
     stop(addr, handle);
     let _ = std::fs::remove_dir_all(root);

@@ -23,12 +23,15 @@
 //!   equivalence contract starts here.
 //!
 //! Everything is little-endian and versioned; format drift is an error,
-//! not a misparse.
+//! not a misparse. The `.mtc` prelude and directory are written with
+//! [`Writer`] and decoded with the total [`Reader`], so a crafted header
+//! is a structured [`ChunkedError::Corrupt`], never a panic.
 
 use crate::csv::{table_from_records, CsvError, RecordSplitter};
 use crate::fingerprint::Fnv1a;
 use crate::lake::Lake;
 use crate::table::{Column, Table};
+use crate::wire::{DecodeError, Reader, Writer};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -139,6 +142,12 @@ impl From<CsvError> for ChunkedError {
     }
 }
 
+impl From<DecodeError> for ChunkedError {
+    fn from(e: DecodeError) -> Self {
+        ChunkedError::Corrupt(e.to_string())
+    }
+}
+
 /// Reads a CSV file through `src` in `chunk_len`-byte pieces, returning
 /// the same records as [`crate::csv::parse_records`] over the whole
 /// file. Multi-byte UTF-8 sequences and quoted records may straddle
@@ -230,14 +239,8 @@ pub fn columnar_paths_sorted(src: &dyn ChunkSource, dir: &Path) -> io::Result<Ve
     Ok(paths)
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
+/// Bytes before the directory: magic, version and directory length.
+const PRELUDE_LEN: usize = 4 + 4 + 8;
 
 /// Serializes one table into the columnar `.mtc` byte layout:
 ///
@@ -248,39 +251,42 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
 /// per col: n_rows × { len:u64 | utf-8 bytes }
 /// ```
 ///
-/// (`str` = u64 length + bytes; offsets are absolute file offsets.)
+/// (`str` = u64 length + bytes, [`Writer::write_str`]; offsets are
+/// absolute file offsets.)
 pub fn encode_table_columnar(table: &Table) -> Vec<u8> {
-    // Directory size must be known before offsets can be absolute:
-    // lay it out once with zero offsets, then patch.
-    let mut dir_blob = Vec::new();
-    push_str(&mut dir_blob, &table.name);
-    push_u64(&mut dir_blob, table.n_cols() as u64);
-    push_u64(&mut dir_blob, table.n_rows() as u64);
-    let mut patch_at = Vec::with_capacity(table.n_cols());
-    for col in &table.columns {
-        push_str(&mut dir_blob, &col.name);
-        patch_at.push(dir_blob.len());
-        push_u64(&mut dir_blob, 0); // data_off, patched below
-        push_u64(&mut dir_blob, 0); // data_len, patched below
-    }
-    let data_base = 4 + 4 + 8 + dir_blob.len() as u64;
-    let mut data = Vec::new();
-    for (c, col) in table.columns.iter().enumerate() {
-        let off = data_base + data.len() as u64;
-        for v in &col.values {
-            push_str(&mut data, v);
+    let directory = |ranges: &[(u64, u64)]| {
+        let mut w = Writer::new();
+        w.write_str(&table.name);
+        w.write_u64(table.n_cols() as u64);
+        w.write_u64(table.n_rows() as u64);
+        for (col, &(off, len)) in table.columns.iter().zip(ranges) {
+            w.write_str(&col.name);
+            w.write_u64(off);
+            w.write_u64(len);
         }
-        let len = data_base + data.len() as u64 - off;
-        dir_blob[patch_at[c]..patch_at[c] + 8].copy_from_slice(&off.to_le_bytes());
-        dir_blob[patch_at[c] + 8..patch_at[c] + 16].copy_from_slice(&len.to_le_bytes());
+        w.into_bytes()
+    };
+    // Offsets are absolute, so the data starts after the directory:
+    // its length does not depend on the offsets it holds.
+    let mut at = (PRELUDE_LEN + directory(&vec![(0, 0); table.n_cols()]).len()) as u64;
+    let ranges: Vec<(u64, u64)> = table
+        .columns
+        .iter()
+        .map(|col| {
+            let len = col.values.iter().map(|v| 8 + v.len() as u64).sum::<u64>();
+            let range = (at, len);
+            at += len;
+            range
+        })
+        .collect();
+    let mut w = Writer::new();
+    w.write_raw(COLUMNAR_MAGIC);
+    w.write_u32(COLUMNAR_VERSION);
+    w.write_bytes(&directory(&ranges));
+    for v in table.columns.iter().flat_map(|col| &col.values) {
+        w.write_str(v);
     }
-    let mut out = Vec::with_capacity(16 + dir_blob.len() + data.len());
-    out.extend_from_slice(COLUMNAR_MAGIC);
-    out.extend_from_slice(&COLUMNAR_VERSION.to_le_bytes());
-    push_u64(&mut out, dir_blob.len() as u64);
-    out.extend_from_slice(&dir_blob);
-    out.extend_from_slice(&data);
-    out
+    w.into_bytes()
 }
 
 /// Writes `table` as `<dir>/<table name>.mtc` (atomic replace).
@@ -313,95 +319,48 @@ pub struct ColumnarReader<'a> {
     cols: Vec<ColMeta>,
 }
 
-/// Little-endian field cursor over a resident directory blob.
-struct DirCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> DirCursor<'a> {
-    fn u64(&mut self) -> Result<u64, ChunkedError> {
-        let end = self.pos + 8;
-        if end > self.bytes.len() {
-            return Err(ChunkedError::Corrupt("directory truncated".into()));
-        }
-        let v = u64::from_le_bytes(self.bytes[self.pos..end].try_into().expect("8 bytes"));
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn str(&mut self) -> Result<String, ChunkedError> {
-        let len = self.u64()?;
-        if len > self.remaining() as u64 {
-            return Err(ChunkedError::Corrupt("directory string truncated".into()));
-        }
-        let end = self.pos + len as usize;
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| ChunkedError::Corrupt("directory string not utf-8".into()))?;
-        self.pos = end;
-        Ok(s.to_string())
-    }
-
-    /// Directory bytes not yet read.
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-}
-
-/// The fewest directory bytes a column entry takes: an empty name's
-/// length, the data offset and the data length.
-const MIN_COL_ENTRY_LEN: usize = 3 * 8;
-
 impl<'a> ColumnarReader<'a> {
     /// Opens a columnar file: validates magic/version, reads the
     /// directory (two small ranged reads), leaves cell data on disk.
     ///
-    /// Every length the header claims is checked against the bytes that
-    /// could back it before anything is sized by it: the directory
-    /// against the file, each directory string and the column count
-    /// against the directory bytes left, each column's data range against
-    /// the file, and the row count against every column's data (each
-    /// value takes at least its 8-byte length). A header that fails any
-    /// check is [`ChunkedError::Corrupt`].
+    /// The prelude and the directory decode through the total
+    /// [`Reader`], and every length the header claims is checked against
+    /// the bytes that could back it before anything is sized by it: the
+    /// directory against the file (and consumed exactly), each column's
+    /// data range against the file, and the row count against every
+    /// column's data (each value takes at least its 8-byte length). A
+    /// header that fails any check is [`ChunkedError::Corrupt`].
     pub fn open(src: &'a dyn ChunkSource, path: &Path) -> Result<Self, ChunkedError> {
-        let prelude = src.read_range(path, 0, 16)?;
-        if prelude.len() < 16 {
-            return Err(ChunkedError::Corrupt("file shorter than prelude".into()));
+        let prelude = src.read_range(path, 0, PRELUDE_LEN)?;
+        let mut r = Reader::new(&prelude);
+        if r.read_raw(4)? != COLUMNAR_MAGIC {
+            return Err(DecodeError::BadMagic { expected: "MTCT" }.into());
         }
-        if &prelude[..4] != COLUMNAR_MAGIC {
-            return Err(ChunkedError::Corrupt("bad magic".into()));
-        }
-        let version = u32::from_le_bytes(prelude[4..8].try_into().expect("4 bytes"));
+        let version = r.read_u32()?;
         if version != COLUMNAR_VERSION {
-            return Err(ChunkedError::Corrupt(format!(
-                "version {version}, expected {COLUMNAR_VERSION}"
-            )));
+            return Err(
+                DecodeError::BadVersion { found: version, expected: COLUMNAR_VERSION }.into()
+            );
         }
-        let dir_len = u64::from_le_bytes(prelude[8..16].try_into().expect("8 bytes"));
+        let dir_len = r.read_u64()?;
         let file_len = src.file_len(path)?;
-        if dir_len > file_len.saturating_sub(16) {
+        if dir_len > file_len.saturating_sub(PRELUDE_LEN as u64) {
             return Err(ChunkedError::Corrupt("directory extends past eof".into()));
         }
         let dir_len = usize::try_from(dir_len)
             .map_err(|_| ChunkedError::Corrupt("directory larger than memory".into()))?;
-        let dir_blob = src.read_range(path, 16, dir_len)?;
-        if dir_blob.len() < dir_len {
-            return Err(ChunkedError::Corrupt("directory short read".into()));
-        }
-        let mut cur = DirCursor { bytes: &dir_blob, pos: 0 };
-        let name = cur.str()?;
-        let n_cols = cur.u64()?;
-        let n_rows = cur.u64()?;
-        if n_cols > (cur.remaining() / MIN_COL_ENTRY_LEN) as u64 {
-            return Err(ChunkedError::Corrupt(format!(
-                "{n_cols} columns cannot fit in the directory"
-            )));
-        }
-        let mut cols = Vec::with_capacity(n_cols as usize);
+        let dir_blob = src.read_range(path, PRELUDE_LEN as u64, dir_len)?;
+        let mut r = Reader::new(&dir_blob);
+        let name = r.read_str()?;
+        let n_cols = r.read_u64()?;
+        let n_rows = r.read_u64()?;
+        // Nothing is sized by `n_cols`: each entry is read or the
+        // directory runs out.
+        let mut cols = Vec::new();
         for _ in 0..n_cols {
-            let col_name = cur.str()?;
-            let off = cur.u64()?;
-            let len = cur.u64()?;
+            let col_name = r.read_str()?;
+            let off = r.read_u64()?;
+            let len = r.read_u64()?;
             if off.checked_add(len).is_none_or(|end| end > file_len) {
                 return Err(ChunkedError::Corrupt(format!(
                     "column {col_name:?} data range [{off}, +{len}) past eof"
@@ -414,6 +373,7 @@ impl<'a> ColumnarReader<'a> {
             }
             cols.push(ColMeta { name: col_name, off, len });
         }
+        r.finish()?;
         if cols.is_empty() && n_rows > 0 {
             return Err(ChunkedError::Corrupt(format!("{n_rows} rows without a column")));
         }
@@ -714,6 +674,16 @@ mod tests {
         let col = reader.read_column(1, 3).expect("column");
         assert_eq!(col, table.columns[1]);
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// The v1 `.mtc` bytes are pinned: a change to what the encoder
+    /// writes must come with a `COLUMNAR_VERSION` bump and a new constant.
+    #[test]
+    fn columnar_bytes_match_the_recorded_v1_encoding() {
+        let bytes = encode_table_columnar(&spiky_table());
+        let mut h = Fnv1a::new();
+        h.write_bytes(&bytes);
+        assert_eq!((bytes.len(), h.finish()), (288, 0x6cb7_3f0e_4276_5584));
     }
 
     #[test]

@@ -57,74 +57,21 @@ impl RepairSummary {
     }
 }
 
-/// The record splitter behind both parse modes. In repair mode an
-/// unterminated quote is closed at end of input (reported via the flag)
-/// instead of erroring.
-fn split_records(input: &str, repair: bool) -> Result<(Vec<Vec<String>>, bool), CsvError> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut chars = input.chars().peekable();
-    let mut in_quotes = false;
-    let mut any = false;
-
-    while let Some(c) = chars.next() {
-        any = true;
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                _ => field.push(c),
-            }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => {
-                    record.push(std::mem::take(&mut field));
-                }
-                '\r' => {
-                    // Swallow; the \n (if any) terminates the record.
-                }
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                }
-                _ => field.push(c),
-            }
-        }
-    }
-    let closed_quote = in_quotes;
-    if in_quotes && !repair {
-        return Err(CsvError::UnterminatedQuote);
-    }
-    if !field.is_empty() || !record.is_empty() {
-        record.push(field);
-        records.push(record);
-    }
-    if !any || records.is_empty() {
-        return Err(CsvError::Empty);
-    }
-    Ok((records, closed_quote))
-}
-
 /// Splits CSV text into records of fields.
 pub fn parse_records(input: &str) -> Result<Vec<Vec<String>>, CsvError> {
-    split_records(input, false).map(|(records, _)| records)
+    let mut splitter = RecordSplitter::new();
+    splitter.feed(input);
+    splitter.finish(false).map(|(records, _)| records)
 }
 
-/// An incremental version of the record splitter: feed the input in
-/// arbitrary pieces (any char boundary, including mid-field, mid-quote,
-/// or between the two `"` of an escaped quote), drain completed records
-/// as they close, and call [`RecordSplitter::finish`] at end of input.
-/// For any split of the input, `feed`+`finish` yields byte-for-byte the
-/// same records, flags and errors as `split_records` over the whole
-/// input — the out-of-core CSV reader leans on that equivalence.
+/// The one CSV record splitter, behind both parse modes and the chunked
+/// reader: feed the input in arbitrary pieces (any char boundary,
+/// including mid-field, mid-quote, or between the two `"` of an escaped
+/// quote), drain completed records as they close, and call
+/// [`RecordSplitter::finish`] at end of input. For any split of the
+/// input, `feed`+`finish` yields byte-for-byte the same records, flags
+/// and errors as one `feed` of the whole input — the out-of-core CSV
+/// reader leans on that equivalence.
 #[derive(Debug, Default)]
 pub struct RecordSplitter {
     done: Vec<Vec<String>>,
@@ -187,11 +134,11 @@ impl RecordSplitter {
         std::mem::take(&mut self.done)
     }
 
-    /// Ends the input, applying the same EOF rules as `split_records`:
-    /// a still-open quote errors (strict) or is closed and flagged
-    /// (repair); a trailing unterminated field/record is flushed; input
-    /// that never produced a record is [`CsvError::Empty`]. Returns the
-    /// remaining records plus the `closed_quote` flag.
+    /// Ends the input: a still-open quote errors (strict) or is closed
+    /// and flagged (repair, which closes it instead of erroring); a
+    /// trailing unterminated field/record is flushed; input that never
+    /// produced a record is [`CsvError::Empty`]. Returns the remaining
+    /// records plus the `closed_quote` flag.
     pub fn finish(mut self, repair: bool) -> Result<(Vec<Vec<String>>, bool), CsvError> {
         // A quote pending at EOF is a closing quote (`peek() == None`).
         if self.pending_quote {
@@ -246,7 +193,9 @@ pub(crate) fn table_from_records(name: &str, records: Vec<Vec<String>>) -> Resul
 /// output table's row widths therefore always agree with its header. Only
 /// input with no header record at all (`CsvError::Empty`) still fails.
 pub fn parse_table_repair(name: &str, input: &str) -> Result<(Table, RepairSummary), CsvError> {
-    let (records, closed_quote) = split_records(input, true)?;
+    let mut splitter = RecordSplitter::new();
+    splitter.feed(input);
+    let (records, closed_quote) = splitter.finish(true)?;
     let mut summary = RepairSummary { closed_quote, ..Default::default() };
     let header = &records[0];
     let width = header.len();
@@ -387,6 +336,63 @@ mod tests {
     #[test]
     fn repair_still_rejects_headerless_input() {
         assert_eq!(parse_table_repair("t", ""), Err(CsvError::Empty));
+    }
+
+    /// A batch splitter over the whole input, written independently of
+    /// [`RecordSplitter`] as the reference it is pinned against. In
+    /// repair mode an unterminated quote is closed at end of input
+    /// (reported via the flag) instead of erroring.
+    fn split_records(input: &str, repair: bool) -> Result<(Vec<Vec<String>>, bool), CsvError> {
+        let mut records = Vec::new();
+        let mut record: Vec<String> = Vec::new();
+        let mut field = String::new();
+        let mut chars = input.chars().peekable();
+        let mut in_quotes = false;
+        let mut any = false;
+
+        while let Some(c) = chars.next() {
+            any = true;
+            if in_quotes {
+                match c {
+                    '"' => {
+                        if chars.peek() == Some(&'"') {
+                            chars.next();
+                            field.push('"');
+                        } else {
+                            in_quotes = false;
+                        }
+                    }
+                    _ => field.push(c),
+                }
+            } else {
+                match c {
+                    '"' => in_quotes = true,
+                    ',' => {
+                        record.push(std::mem::take(&mut field));
+                    }
+                    '\r' => {
+                        // Swallow; the \n (if any) terminates the record.
+                    }
+                    '\n' => {
+                        record.push(std::mem::take(&mut field));
+                        records.push(std::mem::take(&mut record));
+                    }
+                    _ => field.push(c),
+                }
+            }
+        }
+        let closed_quote = in_quotes;
+        if in_quotes && !repair {
+            return Err(CsvError::UnterminatedQuote);
+        }
+        if !field.is_empty() || !record.is_empty() {
+            record.push(field);
+            records.push(record);
+        }
+        if !any || records.is_empty() {
+            return Err(CsvError::Empty);
+        }
+        Ok((records, closed_quote))
     }
 
     /// Feeds `input` in `step`-char pieces, draining along the way.

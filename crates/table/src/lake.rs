@@ -60,24 +60,9 @@ impl Lake {
         self.tables[id.table].cell(id.row, id.col)
     }
 
-    /// Iterates over every cell id of the lake, table-major.
-    pub fn cell_ids(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.tables.iter().enumerate().flat_map(|(t, tab)| {
-            let (rows, cols) = (tab.n_rows(), tab.n_cols());
-            (0..rows).flat_map(move |r| (0..cols).map(move |c| CellId::new(t, r, c)))
-        })
-    }
-
     /// Looks up a table by name.
     pub fn table_by_name(&self, name: &str) -> Option<&Table> {
         self.tables.iter().find(|t| t.name == name)
-    }
-
-    /// A sub-lake restricted to the given table indices, preserving order.
-    /// Returned tables keep their identity; the mapping back to original
-    /// indices is the input slice itself.
-    pub fn project(&self, table_indices: &[usize]) -> Lake {
-        Lake::new(table_indices.iter().map(|&i| self.tables[i].clone()).collect())
     }
 }
 
@@ -118,21 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn cell_ids_cover_every_cell_exactly_once() {
-        let l = lake();
-        let ids: Vec<_> = l.cell_ids().collect();
-        assert_eq!(ids.len(), l.n_cells());
-        let unique: std::collections::HashSet<_> = ids.iter().collect();
-        assert_eq!(unique.len(), ids.len());
-    }
-
-    #[test]
-    fn lookup_and_projection() {
+    fn lookup_by_name() {
         let l = lake();
         assert!(l.table_by_name("a").is_some());
         assert!(l.table_by_name("missing").is_none());
-        let sub = l.project(&[1]);
-        assert_eq!(sub.n_tables(), 1);
-        assert_eq!(sub[0].name, "b");
     }
 }

@@ -15,7 +15,9 @@
 //!   into the error set `E` of Eq. 1,
 //! * [`metrics`] — precision / recall / F1 and per-error-type recall used
 //!   throughout the paper's evaluation (Figures 3–9, Tables 2–3),
-//! * [`csv`] — a minimal RFC-4180 reader/writer so lakes round-trip to disk.
+//! * [`csv`] — a minimal RFC-4180 reader/writer so lakes round-trip to disk,
+//! * [`wire`] — the total little-endian codec every binary file of the
+//!   repo decodes through (snapshots, `.mtc`, `.mtf`, daemon frames).
 //!
 //! Cells are deliberately kept as strings: detection happens on the
 //! serialized value (`"1995"` in an Age column *is* the error), numeric
@@ -33,6 +35,7 @@ pub mod oracle;
 pub mod profile;
 pub mod table;
 pub mod value;
+pub mod wire;
 
 pub use chunked::{
     columnar_lake_fingerprint, columnar_paths_sorted, csv_dir_to_columnar, read_lake_columnar,

@@ -120,11 +120,6 @@ impl ColumnProfile {
             1.0 - self.n_nulls as f64 / self.n_rows as f64
         }
     }
-
-    /// `true` when every value is distinct (a key candidate).
-    pub fn is_unique(&self) -> bool {
-        self.n_distinct == self.n_rows && self.n_nulls == 0
-    }
 }
 
 /// Profiles every column of a table.
@@ -148,7 +143,6 @@ mod tests {
         assert_eq!(p.n_distinct, 3);
         assert!((p.completeness() - 0.8).abs() < 1e-12);
         assert_eq!(p.top_values[0], ("a".to_string(), 3));
-        assert!(!p.is_unique());
     }
 
     #[test]
@@ -158,7 +152,6 @@ mod tests {
         assert!((uniform.entropy_bits - 2.0).abs() < 1e-9);
         let constant = ColumnProfile::of(&col(&["x", "x", "x", "x"]));
         assert!(constant.entropy_bits.abs() < 1e-12);
-        assert!(uniform.is_unique());
     }
 
     #[test]

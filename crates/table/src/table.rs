@@ -127,11 +127,6 @@ impl Table {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
 
-    /// Index of the column with the given name, if present.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// Serializes the table into a single string: all cell values of a row
     /// joined by spaces, rows joined by spaces (paper Alg. 1 line 3 — the
     /// input to the domain-folding embedding).
@@ -188,8 +183,6 @@ mod tests {
         assert_eq!(t.cell(1, 0), "Haaland");
         assert_eq!(t.row(2), vec!["Kane", "30", "Bayern"]);
         assert_eq!(t.header(), vec!["Name", "Age", "Club"]);
-        assert_eq!(t.column_index("Age"), Some(1));
-        assert_eq!(t.column_index("Salary"), None);
     }
 
     #[test]

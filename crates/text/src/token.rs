@@ -36,16 +36,6 @@ pub fn char_trigrams(s: &str) -> Vec<String> {
     padded.windows(3).map(|w| w.iter().collect()).collect()
 }
 
-/// The multiset of characters of a string, as (char, count) pairs sorted by
-/// char — Raha's bag-of-characters typo features are built on this.
-pub fn char_bag(s: &str) -> Vec<(char, usize)> {
-    let mut counts = std::collections::BTreeMap::new();
-    for c in s.chars() {
-        *counts.entry(c).or_insert(0usize) += 1;
-    }
-    counts.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,11 +62,5 @@ mod tests {
         assert_eq!(char_trigrams("a"), vec!["^a$"]);
         let t = char_trigrams("abc");
         assert_eq!(t, vec!["^ab", "abc", "bc$"]);
-    }
-
-    #[test]
-    fn char_bag_counts() {
-        assert_eq!(char_bag("aba"), vec![('a', 2), ('b', 1)]);
-        assert_eq!(char_bag(""), vec![]);
     }
 }

@@ -61,8 +61,7 @@
 //! 4 quarantine ceiling exceeded, 5 checkpoint rejected.
 
 use matelda::core::{
-    analyze_failures, CkptError, DomainFolding, Durability, FaultPolicy, Matelda, MateldaConfig,
-    Obs, Oracle, TrainingStrategy,
+    analyze_failures, CkptError, Durability, FaultPolicy, Matelda, MateldaConfig, Obs, Oracle,
 };
 use matelda::fd::mine_approximate;
 use matelda::lakegen::{DGovLake, GitTablesLake, QuintetLake, ReinLake, WdcLake};
@@ -433,16 +432,9 @@ fn cmd_detect(args: &[String]) -> CliResult {
     let mem_budget_bytes: Option<u64> = parse_flag(&flags, "mem-budget-bytes")?;
     let mut config =
         MateldaConfig { threads, on_error, stage_timeout, mem_budget_bytes, ..Default::default() };
-    match flags.get("variant").copied().unwrap_or("standard") {
-        "standard" => {}
-        "edf" => config.domain_folding = DomainFolding::ExtremeDomainFolding,
-        "rs" => config.domain_folding = DomainFolding::RowSampling(0.1),
-        "santos" => config.domain_folding = DomainFolding::SantosLike,
-        "sf" => config.syntactic_refinement = true,
-        "tpdf" => config.training = TrainingStrategy::PerDomainFold,
-        "tucf" => config.training = TrainingStrategy::UnlabeledCellFolds,
-        other => return Err(CliError::Usage(format!("unknown variant {other:?}"))),
-    }
+    config
+        .apply_variant(flags.get("variant").copied().unwrap_or("standard"))
+        .map_err(CliError::Usage)?;
 
     let truth = diff_lakes(&dirty, &clean);
     let mut oracle = Oracle::new(&truth);

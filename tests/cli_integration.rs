@@ -340,7 +340,9 @@ fn variant_flag_is_validated() {
         .output()
         .expect("detect");
     assert_eq!(out.status.code(), Some(2), "unknown variant exits 2");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown variant"));
+    // The daemon rejects the same name with the same message
+    // (`crates/serve/tests/serve.rs`): both go through one variant table.
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown variant \"bogus\""));
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

@@ -346,6 +346,67 @@ proptest! {
     }
 
     #[test]
+    fn featurized_lake_snapshots_round_trip_and_decode_only_canonical_bytes(
+        tables in proptest::collection::vec(
+            (0usize..4, 0usize..4, 0usize..4, proptest::collection::vec(0usize..6, 48)),
+            0..4,
+        ),
+        tail in proptest::collection::vec((0usize..256).prop_map(|b| b as u8), 0..64),
+    ) {
+        use matelda::core::{decode_snapshot, encode_snapshot, CtxState, FeaturizedLake};
+        use matelda::detect::CellFeatures;
+        // A small palette, so vectors repeat, holding -0.0 and a NaN
+        // payload beside the {0,1} flags; zero rows and zero dims occur.
+        const PALETTE: [u32; 6] = [0, 0x3F80_0000, 0x8000_0000, 0x7FC0_0042, 0x3F00_0000, 0];
+        let features: Vec<CellFeatures> = tables
+            .iter()
+            .map(|(n_cols, n_rows, dim, picks)| {
+                let flat = (0..n_cols * n_rows * dim)
+                    .map(|i| f32::from_bits(PALETTE[picks[i % picks.len()]]))
+                    .collect();
+                CellFeatures::from_flat(*n_cols, *n_rows, *dim, flat)
+            })
+            .collect();
+        let artifact = FeaturizedLake { features };
+        let state = CtxState::default();
+        let bytes = encode_snapshot(&state, &artifact);
+        let (state2, back) = decode_snapshot::<FeaturizedLake>(&bytes).expect("own encoding decodes");
+        prop_assert_eq!(encode_snapshot(&state2, &back), bytes.clone());
+        let bits = |f: &CellFeatures| f.to_flat().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for (a, b) in artifact.features.iter().zip(&back.features) {
+            prop_assert_eq!((a.n_cols, a.n_rows, a.dim), (b.n_cols, b.n_rows, b.dim));
+            prop_assert_eq!(bits(a), bits(b));
+        }
+        // Every strict prefix (a torn write) fails to decode.
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_snapshot::<FeaturizedLake>(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        // Every byte of the real encoding overwritten with a small value
+        // (so a code or a count often stays in range), and arbitrary
+        // bytes after the empty context state: whatever decodes
+        // re-encodes to exactly itself, and so do its values re-interned
+        // by `from_flat` (a repeated, unused or out-of-order pattern
+        // would not).
+        let overwritten = (0..bytes.len() * 4).map(|i| {
+            let mut b = bytes.clone();
+            b[i / 4] = (i % 4) as u8;
+            b
+        });
+        for candidate in overwritten.chain([[&[0u8; 5][..], &tail].concat()]) {
+            if let Ok((state, artifact)) = decode_snapshot::<FeaturizedLake>(&candidate) {
+                prop_assert_eq!(encode_snapshot(&state, &artifact), candidate.clone());
+                let rebuilt = artifact
+                    .features
+                    .iter()
+                    .map(|f| CellFeatures::from_flat(f.n_cols, f.n_rows, f.dim, f.to_flat()))
+                    .collect();
+                let rebuilt = FeaturizedLake { features: rebuilt };
+                prop_assert_eq!(encode_snapshot(&state, &rebuilt), candidate);
+            }
+        }
+    }
+
+    #[test]
     fn snapshot_decode_of_arbitrary_bytes_is_an_error_never_a_panic(
         bytes in proptest::collection::vec((0usize..256).prop_map(|b| b as u8), 0..256),
     ) {
