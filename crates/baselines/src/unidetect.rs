@@ -148,8 +148,7 @@ impl ErrorDetector for UniDetect {
                         as f64
                         >= 0.9 * n as f64;
                 if id_like {
-                    let partition =
-                        matelda_fd::Partition::from_values(col.values.iter().map(String::as_str));
+                    let partition = matelda_fd::Partition::of_column(table, c);
                     if partition.n_groups() == 1 && partition.covered_rows() == 2 && n > 4 {
                         for &r in &partition.groups[0] {
                             mask.set(CellId::new(t, r, c), true);

@@ -631,6 +631,27 @@ mod tests {
     }
 
     #[test]
+    fn embeddings_are_bit_identical_across_calls_and_thread_counts() {
+        // One generated lake embedded twice in one process, then at four
+        // threads: every table's vector keeps its bits, for the full
+        // encoder and the row-sampling variant.
+        let lake = matelda_lakegen::QuintetLake::default().generate(3).dirty;
+        let bits = |e: EmbeddedLake| match e {
+            EmbeddedLake::Vectors(v) => v
+                .iter()
+                .map(|t| t.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
+                .collect::<Vec<_>>(),
+            other => panic!("expected vectors, got {other:?}"),
+        };
+        for strategy in [DomainFolding::Hdbscan, DomainFolding::RowSampling(0.5)] {
+            let embed = |exec: &Executor| bits(embed_lake(&lake, strategy, &encoder(), 7, exec));
+            let first = embed(&Executor::single());
+            assert_eq!(embed(&Executor::single()), first, "{strategy:?}: second call");
+            assert_eq!(embed(&Executor::new(4)), first, "{strategy:?}: four threads");
+        }
+    }
+
+    #[test]
     fn single_table_lake_single_fold() {
         let lake = Lake::new(vec![mixed_lake().tables[0].clone()]);
         let folds = domain_folds(&lake, DomainFolding::Hdbscan, &encoder(), 0);

@@ -960,6 +960,37 @@ mod tests {
     }
 
     #[test]
+    fn two_durable_runs_write_identical_embedding_artifacts() {
+        // The embed snapshot's artifact, re-encoded, is the same bytes in
+        // two runs of one lake. (The snapshot files themselves differ:
+        // their run state carries each stage's wall time.)
+        use crate::domain_fold::EmbeddedLake;
+        use crate::snapshot::{decode_snapshot, ArtifactCodec};
+        use matelda_table::wire::Writer;
+        let lake = QuintetLake::default().generate(3);
+        let matelda = Matelda::default();
+        let artifact = || {
+            let dir = ckpt_dir("embed-bits");
+            let mut oracle = Oracle::new(&lake.errors);
+            let opts = Durability {
+                checkpoint_dir: Some(dir.clone()),
+                resume: false,
+                ..Default::default()
+            };
+            matelda.detect_durable(&lake.dirty, &mut oracle, 20, &opts).unwrap();
+            let store = CheckpointStore::open(&dir, matelda.manifest(&lake.dirty, 20), true);
+            let payload = store.unwrap().load_stage("embed").unwrap().expect("embed snapshot");
+            let (_, embedded) = decode_snapshot::<EmbeddedLake>(&payload).unwrap();
+            assert!(matches!(embedded, EmbeddedLake::Vectors(_)), "{embedded:?}");
+            let mut w = Writer::new();
+            embedded.encode_into(&mut w);
+            std::fs::remove_dir_all(&dir).unwrap();
+            w.into_bytes()
+        };
+        assert_eq!(artifact(), artifact());
+    }
+
+    #[test]
     fn resume_restores_everything_without_querying_the_labeler() {
         let lake = QuintetLake { rows_per_table: 30, error_rate: 0.1 }.generate(4);
         let dir = ckpt_dir("resume");

@@ -1,12 +1,11 @@
 //! Assembly of the unified 32-dim cell feature vector (Alg. 1 line 10).
 
-use crate::intern::InternedTable;
 use crate::outlier::{
     gaussian_flags_distinct, histogram_flags_distinct, histogram_flags_eq2_literal_distinct,
 };
-use crate::rules::{rule_signals_with, RuleSignals};
+use crate::rules::{interned_rule_signals, RuleSignals};
 use matelda_table::wire::{DecodeError, Reader, Writer};
-use matelda_table::Table;
+use matelda_table::{InternedTable, Table};
 use matelda_text::SpellChecker;
 use std::collections::{HashMap, HashSet};
 
@@ -85,7 +84,7 @@ pub fn fired_features(v: &[f32]) -> Vec<String> {
 
 /// The g3 tolerance of the `nv` rule set: a unary FD counts as a rule if
 /// it holds on all but at most this fraction of rows (see
-/// [`rule_signals_with`]).
+/// [`interned_rule_signals`]).
 const RULE_G3_THRESHOLD: f64 = 0.3;
 
 /// Which detector families contribute to the vector. Disabled families
@@ -362,7 +361,9 @@ impl CellFeatures {
 /// z-tests, the spellchecker, the nullness test — run once per
 /// *distinct* value into one flag word per value, scattered through the
 /// codes into one `u64` of flags per cell, which the dictionary-encoded
-/// [`CellFeatures`] interns. Bit-identical to featurizing each cell
+/// [`CellFeatures`] interns. The rule detectors read the same interned
+/// table through the FD pair kernel, one scan per ordered column pair
+/// ([`interned_rule_signals`]). Bit-identical to featurizing each cell
 /// independently (pinned by the equivalence proptest below): interning
 /// preserves the value multiset, per-value counts, and row order, the
 /// only order-sensitive accumulations (the Gaussian detector's f64
@@ -407,7 +408,7 @@ pub fn featurize_table(
 
     if config.rules && m > 0 {
         let RuleSignals { structural, nv_lhs_bucket, nv_rhs_bucket } =
-            rule_signals_with(table, RULE_G3_THRESHOLD, config.fd_whole_group);
+            interned_rule_signals(&interned, RULE_G3_THRESHOLD, config.fd_whole_group);
         for j in 0..m {
             for r in 0..n {
                 let w = &mut cells[r * m + j];
@@ -428,6 +429,7 @@ pub fn featurize_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::rule_signals_with;
     use matelda_table::Column;
 
     fn spell() -> SpellChecker {

@@ -32,7 +32,6 @@
 //! syntactic-folding variant (§4.5.1).
 
 pub mod featurize;
-pub mod intern;
 pub mod outlier;
 pub mod rules;
 pub mod spill;
@@ -42,6 +41,5 @@ pub mod typo;
 pub use featurize::{
     feature_name, featurize_table, fired_features, CellFeatures, FeatureConfig, FEATURE_DIM,
 };
-pub use intern::{InternedColumn, InternedTable};
 pub use spill::{load_features, spill_features, spill_path};
 pub use syntactic::column_syntactic_features;

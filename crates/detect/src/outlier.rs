@@ -103,7 +103,7 @@ pub fn gaussian_flags(values: &[String], column_type: DataType) -> Vec<[bool; 9]
 
 /// [`histogram_flags`] evaluated once per *distinct* value: entry `d` is
 /// the flag row every cell holding distinct value `d` receives. `counts`
-/// come from an [`crate::intern::InternedColumn`]; the ratio arithmetic
+/// come from an [`matelda_table::InternedColumn`]; the ratio arithmetic
 /// is identical to the per-cell version (same counts, same `max_count`),
 /// so scattering through the codes is bit-exact.
 pub fn histogram_flags_distinct(counts: &[usize]) -> Vec<[bool; 9]> {

@@ -17,6 +17,11 @@
 //! from the same domain share vocabulary and value shapes, so their hashed
 //! vectors have high cosine similarity exactly where BERT embeddings would
 //! — which is all the downstream HDBSCAN step consumes.
+//!
+//! [`embed_table`] streams a table's cells row-major into the encoder
+//! instead of building the serialized string, and the encoder sums its
+//! features in first-occurrence order, so a table's vector has the same
+//! bits in every run and at every thread count.
 
 pub mod encoder;
 pub mod minhash;

@@ -9,7 +9,7 @@
 //! discovery trick (and the basis of systems like JOSIE/LSH Ensemble the
 //! paper cites).
 
-use matelda_text::ngram::fnv1a64;
+use matelda_table::fingerprint::Fnv1a;
 
 /// A MinHash signature of a set of strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,7 +33,9 @@ impl MinHashSketch {
         assert!(k > 0, "sketch needs at least one slot");
         let mut mins = vec![u64::MAX; k];
         for item in items {
-            let base = fnv1a64(item.as_ref().as_bytes());
+            let mut hash = Fnv1a::new();
+            hash.write_bytes(item.as_ref().as_bytes());
+            let base = hash.finish();
             for (slot, min) in mins.iter_mut().enumerate() {
                 // Independent-ish hash per slot: remix the base hash with a
                 // slot-specific odd multiplier (splitmix-style finalizer).

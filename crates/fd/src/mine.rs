@@ -1,9 +1,10 @@
 //! Unary FD mining over column pairs (the HyFD substitute — see crate
 //! docs: the paper only consumes single-attribute-LHS dependencies).
+//! The table is interned once and every ordered pair goes through one
+//! [`PairKernel`] scan.
 
-use crate::partition::Partition;
-use crate::violation::violation_stats;
-use matelda_table::Table;
+use crate::kernel::{CodeGroups, PairKernel};
+use matelda_table::{InternedTable, Table};
 
 /// A unary functional dependency `lhs → rhs` (column indices).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,6 +22,30 @@ impl Fd {
     }
 }
 
+/// The ordered pairs `lhs → rhs` (LHS-major, `lhs ≠ rhs`) whose scan
+/// `keep` accepts, skipping LHS columns `skip_lhs` rejects.
+fn mine_pairs(
+    table: &Table,
+    skip_lhs: impl Fn(&CodeGroups) -> bool,
+    keep: impl Fn(f64) -> bool,
+) -> Vec<Fd> {
+    let interned = InternedTable::build(table);
+    let mut kernel = PairKernel::new();
+    let mut out = Vec::new();
+    for (lhs, col) in interned.columns.iter().enumerate() {
+        let groups = CodeGroups::of(col);
+        if skip_lhs(&groups) {
+            continue;
+        }
+        for (rhs, rhs_col) in interned.columns.iter().enumerate() {
+            if lhs != rhs && keep(kernel.scan(&groups, rhs_col).g3_error()) {
+                out.push(Fd::new(lhs, rhs));
+            }
+        }
+    }
+    out
+}
+
 /// Mines all unary FDs whose g3 error on `table` is at most `max_error`.
 /// `max_error = 0.0` yields exact dependencies. Results are sorted.
 ///
@@ -28,19 +53,7 @@ impl Fd {
 /// *included* — the `nv` features of the paper normalize by "#rules where
 /// col j appears on (L/R)HS", and trivially satisfied rules are rules.
 pub fn mine_approximate(table: &Table, max_error: f64) -> Vec<Fd> {
-    let m = table.n_cols();
-    let mut out = Vec::new();
-    for lhs in 0..m {
-        for rhs in 0..m {
-            if lhs == rhs {
-                continue;
-            }
-            if violation_stats(table, lhs, rhs).g3_error <= max_error {
-                out.push(Fd::new(lhs, rhs));
-            }
-        }
-    }
-    out
+    mine_pairs(table, |_| false, |g3| g3 <= max_error)
 }
 
 /// Mines exact unary FDs into which a violation can actually be injected:
@@ -49,23 +62,8 @@ pub fn mine_approximate(table: &Table, max_error: f64) -> Vec<Fd> {
 /// inconsistency. This mirrors the paper's benchmark pipeline (HyFD
 /// discovery + BART injection "on both sides of a functional dependency").
 pub fn mine_exact_injectable(table: &Table) -> Vec<Fd> {
-    let m = table.n_cols();
-    let partitions: Vec<Partition> = (0..m).map(|c| Partition::of_column(table, c)).collect();
-    let mut out = Vec::new();
-    for lhs in 0..m {
-        if partitions[lhs].is_key() {
-            continue; // no duplicated LHS values -> nothing to violate
-        }
-        for rhs in 0..m {
-            if lhs == rhs {
-                continue;
-            }
-            if violation_stats(table, lhs, rhs).g3_error == 0.0 {
-                out.push(Fd::new(lhs, rhs));
-            }
-        }
-    }
-    out
+    // No duplicated LHS values -> nothing to violate.
+    mine_pairs(table, CodeGroups::is_empty, |g3| g3 == 0.0)
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! Stripped partitions: the classic FD-mining representation of a column
 //! (TANE / HyFD). A partition groups row indices by cell value and keeps
 //! only groups of size ≥ 2 — singleton groups can never witness or violate
-//! a unary FD.
+//! a unary FD. Built by the [`crate::kernel`]'s counting sort of the
+//! column's interned codes.
 
-use matelda_table::Table;
-use std::collections::HashMap;
+use crate::kernel::CodeGroups;
+use matelda_table::{InternedColumn, Table};
 
 /// The stripped partition of one column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,20 +20,10 @@ pub struct Partition {
 impl Partition {
     /// Builds the stripped partition of column `col` of `table`.
     pub fn of_column(table: &Table, col: usize) -> Self {
-        Self::from_values(table.columns[col].values.iter().map(String::as_str))
-    }
-
-    /// Builds a stripped partition from raw values.
-    pub fn from_values<'a>(values: impl Iterator<Item = &'a str>) -> Self {
-        let mut by_value: HashMap<&str, Vec<usize>> = HashMap::new();
-        let mut n_rows = 0;
-        for (i, v) in values.enumerate() {
-            by_value.entry(v).or_default().push(i);
-            n_rows += 1;
-        }
-        let mut groups: Vec<Vec<usize>> = by_value.into_values().filter(|g| g.len() >= 2).collect();
-        groups.sort_by_key(|g| g[0]);
-        Self { groups, n_rows }
+        let col = InternedColumn::build(&table.columns[col].values);
+        let groups = CodeGroups::of(&col);
+        let groups = groups.iter().map(|g| g.iter().map(|&r| r as usize).collect()).collect();
+        Self { groups, n_rows: col.n_rows() }
     }
 
     /// Number of non-singleton groups.
@@ -85,14 +76,15 @@ mod tests {
 
     #[test]
     fn empty_column() {
-        let p = Partition::from_values(std::iter::empty());
+        let t = Table::new("t", vec![Column::new("a", Vec::<String>::new())]);
+        let p = Partition::of_column(&t, 0);
         assert_eq!(p.n_rows, 0);
         assert!(p.is_key());
     }
 
     #[test]
     fn all_identical_single_group() {
-        let p = Partition::from_values(["x", "x", "x"].into_iter());
-        assert_eq!(p.groups, vec![vec![0, 1, 2]]);
+        let t = Table::new("t", vec![Column::new("a", ["x", "x", "x"])]);
+        assert_eq!(Partition::of_column(&t, 0).groups, vec![vec![0, 1, 2]]);
     }
 }

@@ -211,7 +211,7 @@ mod tests {
         // Direct computation: group rows by (city, street).
         let combined: Vec<String> =
             (0..t.n_rows()).map(|r| format!("{}|{}", t.cell(r, 0), t.cell(r, 1))).collect();
-        let direct = Partition::from_values(combined.iter().map(String::as_str));
+        let direct = Partition::of_column(&Table::new("ab", vec![Column::new("ab", combined)]), 0);
         assert_eq!(product.groups, direct.groups);
     }
 

@@ -1,8 +1,8 @@
-//! Per-cell violation marking for a unary FD `A → B`.
+//! Per-cell violation marking for a unary FD `A → B`: one pair through
+//! the [`crate::kernel`], its marked rows collected and sorted.
 
-use crate::partition::Partition;
-use matelda_table::Table;
-use std::collections::HashMap;
+use crate::kernel::{CodeGroups, PairKernel};
+use matelda_table::{InternedColumn, Table};
 
 /// Violation summary of one candidate FD on one table.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -19,43 +19,21 @@ pub struct ViolationStats {
     pub g3_error: f64,
 }
 
-/// Computes the violation statistics of `lhs → rhs` on `table`.
+/// Computes the violation statistics of `lhs → rhs` on `table`,
+/// interning only those two columns. Majority ties go to the
+/// lexicographically smallest RHS value.
 pub fn violation_stats(table: &Table, lhs: usize, rhs: usize) -> ViolationStats {
-    let part = Partition::of_column(table, lhs);
-    let rhs_values = &table.columns[rhs].values;
-    let n = table.n_rows();
+    let groups = CodeGroups::of(&InternedColumn::build(&table.columns[lhs].values));
+    let rhs_col = InternedColumn::build(&table.columns[rhs].values);
+    let mut kernel = PairKernel::new();
+    let scan = kernel.scan(&groups, &rhs_col);
     let mut violating = Vec::new();
     let mut minority = Vec::new();
-    let mut removed = 0usize;
-    for group in &part.groups {
-        let mut counts: HashMap<&str, usize> = HashMap::new();
-        for &r in group {
-            *counts.entry(rhs_values[r].as_str()).or_insert(0) += 1;
-        }
-        if counts.len() <= 1 {
-            continue;
-        }
-        let majority = counts.values().copied().max().expect("non-empty group");
-        // Deterministic majority value: largest count, ties to the
-        // lexicographically smallest value.
-        let majority_value = counts
-            .iter()
-            .filter(|(_, c)| **c == majority)
-            .map(|(v, _)| *v)
-            .min()
-            .expect("non-empty");
-        removed += group.len() - majority;
-        for &r in group {
-            violating.push(r);
-            if rhs_values[r] != majority_value {
-                minority.push(r);
-            }
-        }
-    }
+    scan.for_each_marked(true, |r| violating.push(r));
+    scan.for_each_marked(false, |r| minority.push(r));
     violating.sort_unstable();
     minority.sort_unstable();
-    let g3_error = if n == 0 { 0.0 } else { removed as f64 / n as f64 };
-    ViolationStats { violating_rows: violating, minority_rows: minority, g3_error }
+    ViolationStats { violating_rows: violating, minority_rows: minority, g3_error: scan.g3_error() }
 }
 
 /// Convenience: just the rows in violating groups of `lhs → rhs`.

@@ -260,6 +260,12 @@ mod tests {
     #[test]
     fn a_garbled_response_is_fatal_after_exactly_one_attempt() {
         let (addr, accepted, handle) = tiny_server(4, |mut stream| {
+            // Read the request first: closing a socket with unread bytes
+            // makes the kernel send a reset instead of a FIN, and a reset
+            // can reach the client before it reads the reply, which it
+            // then sees as a retryable `ConnectionReset`. With the request
+            // consumed, the close is a FIN that follows the reply.
+            let _ = read_frame(&mut stream);
             // A well-framed payload that is not a decodable Response.
             let _ = write_frame(&mut stream, b"\xFFnot a response\xFF");
         });

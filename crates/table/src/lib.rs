@@ -16,6 +16,8 @@
 //! * [`metrics`] — precision / recall / F1 and per-error-type recall used
 //!   throughout the paper's evaluation (Figures 3–9, Tables 2–3),
 //! * [`csv`] — a minimal RFC-4180 reader/writer so lakes round-trip to disk,
+//! * [`intern`] — per-column string interning (distinct values, a `u32`
+//!   code per row), which featurization and FD mining share,
 //! * [`wire`] — the total little-endian codec every binary file of the
 //!   repo decodes through (snapshots, `.mtc`, `.mtf`, daemon frames).
 //!
@@ -27,6 +29,7 @@ pub mod chunked;
 pub mod csv;
 pub mod diff;
 pub mod fingerprint;
+pub mod intern;
 pub mod io;
 pub mod lake;
 pub mod mask;
@@ -44,6 +47,7 @@ pub use chunked::{
 };
 pub use diff::{diff_lakes, diff_tables};
 pub use fingerprint::lake_fingerprint;
+pub use intern::{InternedColumn, InternedTable};
 pub use io::{
     csv_paths_sorted, read_lake_from_dir, read_lake_from_dir_with, write_lake_to_dir, FileIngest,
     FileOutcome, IngestReport, ReadMode, ReadOptions,

@@ -40,8 +40,9 @@ impl Column {
 ///
 /// Tables are column-major because every base detector in the paper
 /// (outliers, typo checks, FD checks) is column-local; row views are
-/// materialized on demand for serialization (domain folding, §3.2) and
-/// tuple-at-a-time labeling (Raha-Standard / Raha-RT budgets).
+/// materialized on demand for tuple-at-a-time labeling (Raha-Standard /
+/// Raha-RT budgets), and domain folding (§3.2) streams the cells
+/// row-major into its encoder without building them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Table name (file stem in a lake on disk).
@@ -126,37 +127,6 @@ impl Table {
     pub fn header(&self) -> Vec<&str> {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
-
-    /// Serializes the table into a single string: all cell values of a row
-    /// joined by spaces, rows joined by spaces (paper Alg. 1 line 3 — the
-    /// input to the domain-folding embedding).
-    pub fn serialize(&self) -> String {
-        let mut out = String::with_capacity(self.n_cells() * 8);
-        for i in 0..self.n_rows() {
-            for c in &self.columns {
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push_str(&c.values[i]);
-            }
-        }
-        out
-    }
-
-    /// Like [`Table::serialize`] but only over the given sample of row
-    /// indices — used by the Matelda-RS row-sampling variant (§4.5.2).
-    pub fn serialize_rows(&self, rows: &[usize]) -> String {
-        let mut out = String::new();
-        for &i in rows {
-            for c in &self.columns {
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push_str(&c.values[i]);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -201,19 +171,10 @@ mod tests {
     }
 
     #[test]
-    fn serialization_concatenates_row_major() {
-        let t = Table::new("t", vec![Column::new("a", ["1", "3"]), Column::new("b", ["2", "4"])]);
-        assert_eq!(t.serialize(), "1 2 3 4");
-        assert_eq!(t.serialize_rows(&[1]), "3 4");
-        assert_eq!(t.serialize_rows(&[]), "");
-    }
-
-    #[test]
     fn empty_table() {
         let t = Table::new("empty", vec![]);
         assert_eq!(t.n_rows(), 0);
         assert_eq!(t.n_cells(), 0);
-        assert_eq!(t.serialize(), "");
     }
 
     #[test]

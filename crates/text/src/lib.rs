@@ -1,7 +1,7 @@
 //! # matelda-text
 //!
-//! Text-processing substrate for MaTElDa: tokenization, string distances,
-//! character n-grams and a dictionary-based spell checker.
+//! Text-processing substrate for MaTElDa: word tokenization, string
+//! distances and a dictionary-based spell checker.
 //!
 //! The spell checker is this repo's substitute for **GNU Aspell**, which
 //! the paper uses as its typo detector `d_TD` (Eq. 4): a cell is flagged
@@ -12,10 +12,9 @@
 //! of the dictionary exactly as real-world typos fall out of Aspell's.
 
 pub mod distance;
-pub mod ngram;
 pub mod spell;
 pub mod token;
 
 pub use distance::{damerau_levenshtein, jaccard, levenshtein};
 pub use spell::SpellChecker;
-pub use token::{char_trigrams, words};
+pub use token::words;
