@@ -14,14 +14,9 @@
 //! For each deviation the binary compares this repo's choice against the
 //! literal alternative on Quintet and DGov-NTR at 2 labeled tuples/table.
 
-use matelda_baselines::Budget;
-use matelda_bench::eval::EvalRecorder;
-use matelda_bench::{
-    pct, print_stage_report, run_once, MateldaSystem, RunReport, Scale, TextTable,
-};
+use matelda_bench::{quintet_and_dgov_ntr, MateldaSystem, Scale, Sweep};
 use matelda_core::MateldaConfig;
 use matelda_detect::FeatureConfig;
-use matelda_lakegen::{DGovLake, GeneratedLake, QuintetLake};
 
 fn with_features(label: &str, features: FeatureConfig) -> MateldaSystem {
     MateldaSystem::variant(label, MateldaConfig { features, ..Default::default() })
@@ -29,17 +24,10 @@ fn with_features(label: &str, features: FeatureConfig) -> MateldaSystem {
 
 fn main() {
     let scale = Scale::from_env();
-    let seeds = scale.seeds();
     println!("=== Deviation ablation (scale: {scale:?}, 2 tuples/table) ===\n");
 
-    let n = scale.tables(143);
-    let lakes: Vec<(&str, Box<dyn Fn(u64) -> GeneratedLake>)> = vec![
-        ("Quintet", Box::new(|s| QuintetLake::default().generate(s))),
-        ("DGov-NTR", Box::new(move |s| DGovLake::ntr().with_n_tables(n).generate(s))),
-    ];
-    let budget = Budget::per_table(2.0);
-
-    let variants = || {
+    let lakes = quintet_and_dgov_ntr(scale);
+    let sweep = Sweep::run("ablation_deviations", scale, &lakes, &[2.0], |_, _| {
         vec![
             with_features("this repo", FeatureConfig::default()),
             with_features(
@@ -55,42 +43,11 @@ fn main() {
                 FeatureConfig { no_null_flag: true, ..FeatureConfig::default() },
             ),
         ]
-    };
-
-    let mut rec = EvalRecorder::for_experiment("ablation_deviations", scale);
-    let mut table = TextTable::new(&["lake", "variant", "precision", "recall", "f1"]);
-    // Last per-stage report per variant, printed once at the end.
-    let mut reports: std::collections::BTreeMap<String, RunReport> =
-        std::collections::BTreeMap::new();
-    for (lake_name, generate) in &lakes {
-        for sys in variants() {
-            let (mut p, mut r, mut f1) = (0.0, 0.0, 0.0);
-            for seed in 1..=seeds {
-                let lake = generate(seed);
-                let res = run_once(&sys, &lake, budget);
-                rec.record_run(lake_name, &sys.label, 2.0, seed, &res, &lake);
-                reports.insert(sys.label.clone(), res.report.clone());
-                p += res.precision;
-                r += res.recall;
-                f1 += res.f1;
-            }
-            let k = seeds as f64;
-            table.row(vec![
-                lake_name.to_string(),
-                sys.label.clone(),
-                pct(p / k),
-                pct(r / k),
-                pct(f1 / k),
-            ]);
-        }
-    }
+    });
+    let table = sweep.prf_table(None, 2.0, "variant");
     println!("{}", table.render());
-    let _ = table.write_csv("ablation_deviations");
-    rec.flush().expect("write EVAL matrix");
-
-    for (name, report) in &reports {
-        print_stage_report(name, report);
-    }
+    let _ = table.write_csv(scale, "ablation_deviations");
+    sweep.finish().expect("write EVAL matrix");
     println!();
 
     println!("expected: Eq.2-literal TF and no-null-flag cost F1 outright.");

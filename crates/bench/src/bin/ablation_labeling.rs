@@ -11,14 +11,8 @@
 //! than uncertainty sampling wins back. This empirically supports the
 //! paper's design of tying cluster count to the labeling budget.
 
-use matelda_baselines::Budget;
-use matelda_bench::eval::EvalRecorder;
-use matelda_bench::{
-    budget_axis, pct, print_stage_report, run_once, MateldaSystem, RunReport, Scale, TextTable,
-};
+use matelda_bench::{budget_axis, quintet_and_dgov_ntr, Extra, MateldaSystem, Scale, Sweep};
 use matelda_core::{LabelingStrategy, MateldaConfig};
-use matelda_lakegen::{DGovLake, GeneratedLake, QuintetLake};
-use std::collections::BTreeMap;
 
 fn variants() -> Vec<MateldaSystem> {
     vec![
@@ -35,64 +29,19 @@ fn variants() -> Vec<MateldaSystem> {
 
 fn main() {
     let scale = Scale::from_env();
-    let seeds = scale.seeds();
     println!("=== Labeling-strategy ablation (extension; scale: {scale:?}) ===\n");
 
-    let n = scale.tables(143);
-    let lakes: Vec<(&str, Box<dyn Fn(u64) -> GeneratedLake>)> = vec![
-        ("Quintet", Box::new(|s| QuintetLake::default().generate(s))),
-        ("DGov-NTR", Box::new(move |s| DGovLake::ntr().with_n_tables(n).generate(s))),
-    ];
-    let budgets = budget_axis(scale);
-    let mut rec = EvalRecorder::for_experiment("ablation_labeling", scale);
-    // Last per-stage report per variant, printed once at the end.
-    let mut reports: BTreeMap<String, RunReport> = BTreeMap::new();
-
-    for (lake_name, generate) in &lakes {
-        let mut acc: BTreeMap<(String, usize), (f64, usize, usize)> = BTreeMap::new();
-        for seed in 1..=seeds {
-            let lake = generate(seed);
-            for (bi, &b) in budgets.iter().enumerate() {
-                for sys in variants() {
-                    let r = run_once(&sys, &lake, Budget::per_table(b));
-                    rec.record_run(lake_name, &sys.label, b, seed, &r, &lake);
-                    reports.insert(sys.label.clone(), r.report.clone());
-                    let e = acc.entry((sys.label.clone(), bi)).or_insert((0.0, 0, 0));
-                    e.0 += r.f1;
-                    e.1 += r.labels;
-                    e.2 += 1;
-                }
-            }
-        }
-        let names: Vec<String> = variants().iter().map(|v| v.label.clone()).collect();
-        let mut header = vec!["tuples/table".to_string()];
-        header.extend(names.iter().cloned());
-        header.extend(names.iter().map(|n| format!("{n} [labels]")));
-        let mut table = TextTable::new(&header.iter().map(|s| &**s).collect::<Vec<_>>());
-        for (bi, &b) in budgets.iter().enumerate() {
-            let mut row = vec![format!("{b}")];
-            for name in &names {
-                let (f1, _, k) = acc[&(name.clone(), bi)];
-                row.push(pct(f1 / k as f64));
-            }
-            for name in &names {
-                let (_, l, k) = acc[&(name.clone(), bi)];
-                row.push((l / k).to_string());
-            }
-            table.row(row);
-        }
-        println!("--- {lake_name}: F1 per labeling strategy (equal label counts) ---");
-        println!("{}", table.render());
-        let _ = table.write_csv(&format!(
-            "ablation_labeling_{}",
-            lake_name.to_lowercase().replace('-', "_")
-        ));
+    let lakes = quintet_and_dgov_ntr(scale);
+    let sweep =
+        Sweep::run("ablation_labeling", scale, &lakes, &budget_axis(scale), |_, _| variants());
+    for (lake_name, _) in &lakes {
+        sweep.print_f1_table(
+            lake_name,
+            "F1 per labeling strategy (equal label counts)",
+            Some(Extra::Labels),
+        );
     }
-    rec.flush().expect("write EVAL matrix");
-
-    for (name, report) in &reports {
-        print_stage_report(name, report);
-    }
+    sweep.finish().expect("write EVAL matrix");
     println!();
 
     println!("expected: the paper's protocol leads at every budget — fold");

@@ -16,141 +16,90 @@ use matelda_baselines::holodetect::HoloDetect;
 use matelda_baselines::raha::{Raha, RahaVariant};
 use matelda_baselines::unidetect::UniDetect;
 use matelda_baselines::{Budget, ErrorDetector};
-use matelda_bench::eval::EvalRecorder;
-use matelda_bench::{
-    budget_axis, pct, print_stage_report, run_once, MateldaSystem, RunReport, Scale, TextTable,
-};
-use matelda_lakegen::{DGovLake, GeneratedLake, QuintetLake, ReinLake, WdcLake};
-use std::collections::BTreeMap;
+use matelda_bench::{budget_axis, MateldaSystem, Scale, Sweep, SweepLake};
+use matelda_lakegen::{DGovLake, QuintetLake, ReinLake, WdcLake};
+use matelda_table::{CellMask, Labeler, Lake};
 
-fn holodetect_budgets(lake_name: &str) -> Option<Vec<f64>> {
-    match lake_name {
-        "Quintet" => Some(vec![1.0, 2.0, 5.0, 10.0, 20.0]),
-        "DGov-NTR" => Some(vec![2.0, 5.0, 10.0, 20.0]),
-        _ => None, // paper: not run on REIN / DGov-NT (resources)
+/// HoloDetect at the budgets the paper ran it at on one lake; at any
+/// other budget it is not applicable, so the sweep skips it there.
+struct PaperHoloDetect {
+    holodetect: HoloDetect,
+    budgets: &'static [f64],
+}
+
+impl PaperHoloDetect {
+    fn on(lake_name: &str) -> Self {
+        let budgets: &[f64] = match lake_name {
+            "Quintet" => &[1.0, 2.0, 5.0, 10.0, 20.0],
+            "DGov-NTR" => &[2.0, 5.0, 10.0, 20.0],
+            _ => &[], // paper: not run on REIN / DGov-NT (resources)
+        };
+        PaperHoloDetect { holodetect: HoloDetect::default(), budgets }
+    }
+}
+
+impl ErrorDetector for PaperHoloDetect {
+    fn name(&self) -> String {
+        self.holodetect.name()
+    }
+
+    fn detect(&self, lake: &Lake, labeler: &mut dyn Labeler, budget: Budget) -> CellMask {
+        self.holodetect.detect(lake, labeler, budget)
+    }
+
+    fn applicable(&self, lake: &Lake, budget: Budget) -> bool {
+        self.holodetect.applicable(lake, budget) && self.budgets.contains(&budget.tuples_per_table)
     }
 }
 
 fn main() {
     let scale = Scale::from_env();
-    let seeds = scale.seeds();
     println!("=== Figure 3: Effectiveness of Matelda vs. Baselines (scale: {scale:?}) ===\n");
 
     // Uni-Detect is pre-trained on a clean web-table corpus, per §4.1.4.
     let pretrain = WdcLake { n_tables: scale.tables(60), ..WdcLake::default() }.generate(777);
     let unidetect = UniDetect::pretrain(&[&pretrain.clean]);
 
-    let lakes: Vec<(&str, Box<dyn Fn(u64) -> GeneratedLake>)> = vec![
+    let (ntr, nt) = (scale.tables(143), scale.tables(159));
+    let lakes: Vec<SweepLake> = vec![
         ("Quintet", Box::new(|s| QuintetLake::default().generate(s))),
         ("REIN", Box::new(|s| ReinLake::default().generate(s))),
-        ("DGov-NTR", {
-            let n = scale.tables(143);
-            Box::new(move |s| DGovLake::ntr().with_n_tables(n).generate(s))
-        }),
-        ("DGov-NT", {
-            let n = scale.tables(159);
-            Box::new(move |s| DGovLake::nt().with_n_tables(n).generate(s))
-        }),
+        ("DGov-NTR", Box::new(move |s| DGovLake::ntr().with_n_tables(ntr).generate(s))),
+        ("DGov-NT", Box::new(move |s| DGovLake::nt().with_n_tables(nt).generate(s))),
     ];
-
     let budgets = budget_axis(scale);
-    let mut rec = EvalRecorder::for_experiment("fig3", scale);
-    // Last non-empty per-stage report per system, printed once at the end.
-    let mut reports: BTreeMap<String, RunReport> = BTreeMap::new();
-
-    for (lake_name, generate) in &lakes {
-        // (system, budget-index) -> (f1 sum, p sum, r sum, count)
-        let mut acc: BTreeMap<(String, usize), (f64, f64, f64, usize)> = BTreeMap::new();
-        let mut system_order: Vec<String> = Vec::new();
-
-        for seed in 1..=seeds {
-            let lake = generate(seed);
-            let mut systems: Vec<Box<dyn ErrorDetector>> = vec![
+    let sweep = Sweep::run(
+        "fig3",
+        scale,
+        &lakes,
+        &budgets,
+        |lake_name, lake| -> Vec<Box<dyn ErrorDetector>> {
+            vec![
                 Box::new(MateldaSystem::standard()),
                 Box::new(Raha::new(RahaVariant::Standard)),
                 Box::new(Raha::new(RahaVariant::RandomTables)),
                 Box::new(Raha::new(RahaVariant::TwoLabelsPerCol)),
                 Box::new(Raha::new(RahaVariant::TwentyLabelsPerCol)),
-                Box::new(HoloDetect::default()),
+                Box::new(PaperHoloDetect::on(lake_name)),
                 Box::new(unidetect.clone()),
                 Box::new(Aspell::new()),
                 Box::new(Deequ::new()),
                 Box::new(Deequ::oracle(lake.clean.clone())),
                 Box::new(Gx::new()),
                 Box::new(Gx::oracle(lake.clean.clone())),
-            ];
-            if system_order.is_empty() {
-                system_order = systems.iter().map(|s| s.name()).collect();
-            }
-            for (bi, &b) in budgets.iter().enumerate() {
-                let budget = Budget::per_table(b);
-                for system in &mut systems {
-                    let name = system.name();
-                    if !system.applicable(&lake.dirty, budget) {
-                        continue;
-                    }
-                    if name == "HoloDetect" {
-                        match holodetect_budgets(lake_name) {
-                            Some(allowed) if allowed.contains(&b) => {}
-                            _ => continue,
-                        }
-                    }
-                    let r = run_once(system.as_ref(), &lake, budget);
-                    rec.record_run(lake_name, &name, b, seed, &r, &lake);
-                    if !r.report.stages.is_empty() {
-                        reports.insert(name.clone(), r.report.clone());
-                    }
-                    let e = acc.entry((name, bi)).or_insert((0.0, 0.0, 0.0, 0));
-                    e.0 += r.f1;
-                    e.1 += r.precision;
-                    e.2 += r.recall;
-                    e.3 += 1;
-                }
-            }
-        }
+            ]
+        },
+    );
 
-        // F1-vs-budget series (the figure itself).
-        let mut header: Vec<&str> = vec!["tuples/table"];
-        let names: Vec<String> = system_order.clone();
-        for n in &names {
-            header.push(n);
-        }
-        let mut table = TextTable::new(&header.iter().map(|s| &**s).collect::<Vec<_>>());
-        for (bi, &b) in budgets.iter().enumerate() {
-            let mut row = vec![format!("{b}")];
-            for name in &names {
-                row.push(match acc.get(&(name.clone(), bi)) {
-                    Some((f1, _, _, k)) if *k > 0 => pct(f1 / *k as f64),
-                    _ => "n/a".to_string(),
-                });
-            }
-            table.row(row);
-        }
-        println!("--- {lake_name}: F1 vs labeling budget ---");
-        println!("{}", table.render());
-        let _ = table.write_csv(&format!("fig3_{}", lake_name.to_lowercase().replace('-', "_")));
-
+    for (lake_name, _) in &lakes {
+        sweep.print_f1_table(lake_name, "F1 vs labeling budget", None);
         // Precision/recall detail at 2 tuples per table (§4.2's quotes).
-        if let Some(bi2) = budgets.iter().position(|&b| (b - 2.0).abs() < 1e-9) {
-            let mut detail = TextTable::new(&["system", "precision", "recall", "f1"]);
-            for name in &names {
-                if let Some((f1, p, r, k)) = acc.get(&(name.clone(), bi2)) {
-                    if *k > 0 {
-                        let k = *k as f64;
-                        detail.row(vec![name.clone(), pct(p / k), pct(r / k), pct(f1 / k)]);
-                    }
-                }
-            }
+        if budgets.contains(&2.0) {
             println!("--- {lake_name}: detail at 2 labeled tuples/table ---");
-            println!("{}", detail.render());
+            println!("{}", sweep.prf_table(Some(lake_name), 2.0, "system").render());
         }
     }
-
-    rec.flush().expect("write EVAL matrix");
-
-    for (name, report) in &reports {
-        print_stage_report(name, report);
-    }
+    sweep.finish().expect("write EVAL matrix");
     println!();
 
     println!("shape checks (paper expectations):");

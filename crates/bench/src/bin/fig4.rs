@@ -7,87 +7,36 @@
 
 use matelda_baselines::aspell::Aspell;
 use matelda_baselines::raha::{Raha, RahaVariant};
-use matelda_baselines::{Budget, ErrorDetector};
-use matelda_bench::eval::EvalRecorder;
-use matelda_bench::{
-    budget_axis, pct, print_stage_report, run_once, MateldaSystem, RunReport, Scale, TextTable,
-};
-use matelda_lakegen::{DGovLake, GeneratedLake};
-use std::collections::BTreeMap;
+use matelda_baselines::ErrorDetector;
+use matelda_bench::{budget_axis, MateldaSystem, Scale, Sweep, SweepLake};
+use matelda_lakegen::DGovLake;
+
+fn systems() -> Vec<Box<dyn ErrorDetector>> {
+    vec![
+        Box::new(MateldaSystem::standard()),
+        Box::new(Raha::new(RahaVariant::Standard)),
+        Box::new(Raha::new(RahaVariant::RandomTables)),
+        Box::new(Raha::new(RahaVariant::TwoLabelsPerCol)),
+        Box::new(Raha::new(RahaVariant::TwentyLabelsPerCol)),
+        Box::new(Aspell::new()),
+    ]
+}
 
 fn main() {
     let scale = Scale::from_env();
-    let seeds = scale.seeds();
     println!("=== Figure 4: Ablation on error types (scale: {scale:?}) ===\n");
 
     let n = scale.tables(96);
-    let lakes: Vec<(&str, Box<dyn Fn(u64) -> GeneratedLake>)> = vec![
+    let lakes: Vec<SweepLake> = vec![
         ("DGov-NO", Box::new(move |s| DGovLake::no().with_n_tables(n).generate(s))),
         ("DGov-Typo", Box::new(move |s| DGovLake::typo().with_n_tables(n).generate(s))),
         ("DGov-RV", Box::new(move |s| DGovLake::rv().with_n_tables(n).generate(s))),
     ];
-    let budgets = budget_axis(scale);
-    let mut rec = EvalRecorder::for_experiment("fig4", scale);
-    // Last non-empty per-stage report per system, printed once at the end.
-    let mut reports: BTreeMap<String, RunReport> = BTreeMap::new();
-
-    for (lake_name, generate) in &lakes {
-        let mut acc: BTreeMap<(String, usize), (f64, usize)> = BTreeMap::new();
-        let mut order: Vec<String> = Vec::new();
-        for seed in 1..=seeds {
-            let lake = generate(seed);
-            let systems: Vec<Box<dyn ErrorDetector>> = vec![
-                Box::new(MateldaSystem::standard()),
-                Box::new(Raha::new(RahaVariant::Standard)),
-                Box::new(Raha::new(RahaVariant::RandomTables)),
-                Box::new(Raha::new(RahaVariant::TwoLabelsPerCol)),
-                Box::new(Raha::new(RahaVariant::TwentyLabelsPerCol)),
-                Box::new(Aspell::new()),
-            ];
-            if order.is_empty() {
-                order = systems.iter().map(|s| s.name()).collect();
-            }
-            for (bi, &b) in budgets.iter().enumerate() {
-                let budget = Budget::per_table(b);
-                for system in &systems {
-                    if !system.applicable(&lake.dirty, budget) {
-                        continue;
-                    }
-                    let r = run_once(system.as_ref(), &lake, budget);
-                    rec.record_run(lake_name, &system.name(), b, seed, &r, &lake);
-                    if !r.report.stages.is_empty() {
-                        reports.insert(system.name(), r.report.clone());
-                    }
-                    let e = acc.entry((system.name(), bi)).or_insert((0.0, 0));
-                    e.0 += r.f1;
-                    e.1 += 1;
-                }
-            }
-        }
-
-        let mut header = vec!["tuples/table".to_string()];
-        header.extend(order.iter().cloned());
-        let mut table = TextTable::new(&header.iter().map(|s| &**s).collect::<Vec<_>>());
-        for (bi, &b) in budgets.iter().enumerate() {
-            let mut row = vec![format!("{b}")];
-            for name in &order {
-                row.push(match acc.get(&(name.clone(), bi)) {
-                    Some((f1, k)) if *k > 0 => pct(f1 / *k as f64),
-                    _ => "n/a".to_string(),
-                });
-            }
-            table.row(row);
-        }
-        println!("--- {lake_name}: F1 vs labeling budget ---");
-        println!("{}", table.render());
-        let _ = table.write_csv(&format!("fig4_{}", lake_name.to_lowercase().replace('-', "_")));
+    let sweep = Sweep::run("fig4", scale, &lakes, &budget_axis(scale), |_, _| systems());
+    for (lake_name, _) in &lakes {
+        sweep.print_f1_table(lake_name, "F1 vs labeling budget", None);
     }
-
-    rec.flush().expect("write EVAL matrix");
-
-    for (name, report) in &reports {
-        print_stage_report(name, report);
-    }
+    sweep.finish().expect("write EVAL matrix");
     println!();
 
     println!("shape checks (paper §4.4):");

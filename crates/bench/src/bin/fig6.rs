@@ -7,16 +7,10 @@
 //! reproducible claim). On Quintet the paper notes SANTOS produces the
 //! same folds as the standard method; we verify that too.
 
-use matelda_baselines::Budget;
-use matelda_bench::eval::EvalRecorder;
-use matelda_bench::{
-    budget_axis, pct, print_stage_report, run_once, secs, MateldaSystem, RunReport, Scale,
-    TextTable,
-};
+use matelda_bench::{budget_axis, secs, Extra, MateldaSystem, Scale, Sweep, SweepLake};
 use matelda_core::{domain_folds, DomainFolding, MateldaConfig};
 use matelda_embed::encoder::HashedEncoder;
 use matelda_lakegen::{DGovLake, QuintetLake};
-use std::collections::BTreeMap;
 
 fn variants() -> Vec<MateldaSystem> {
     vec![
@@ -42,7 +36,6 @@ fn variants() -> Vec<MateldaSystem> {
 
 fn main() {
     let scale = Scale::from_env();
-    let seeds = scale.seeds();
     println!("=== Figure 6: Domain folding design impact (scale: {scale:?}) ===\n");
 
     // Quintet fold-equality check (the reason the paper shows no Quintet
@@ -73,60 +66,25 @@ fn main() {
     );
 
     let n = scale.tables(143);
+    let lakes: Vec<SweepLake> =
+        vec![("DGov-NTR", Box::new(move |s| DGovLake::ntr().with_n_tables(n).generate(s)))];
     let budgets = budget_axis(scale);
-    let mut rec = EvalRecorder::for_experiment("fig6", scale);
-    let mut acc: BTreeMap<(String, usize), (f64, f64, usize)> = BTreeMap::new();
-    // Last per-stage report per variant, printed once at the end.
-    let mut reports: BTreeMap<String, RunReport> = BTreeMap::new();
-    for seed in 1..=seeds {
-        let lake = DGovLake::ntr().with_n_tables(n).generate(seed);
-        for (bi, &b) in budgets.iter().enumerate() {
-            for sys in variants() {
-                let r = run_once(&sys, &lake, Budget::per_table(b));
-                rec.record_run("DGov-NTR", &sys.label, b, seed, &r, &lake);
-                reports.insert(sys.label.clone(), r.report.clone());
-                let e = acc.entry((sys.label.clone(), bi)).or_insert((0.0, 0.0, 0));
-                e.0 += r.f1;
-                e.1 += r.seconds;
-                e.2 += 1;
-            }
-        }
-    }
-
-    let names: Vec<String> = variants().iter().map(|v| v.label.clone()).collect();
-    let mut header = vec!["tuples/table".to_string()];
-    header.extend(names.iter().cloned());
-    header.extend(names.iter().map(|n| format!("{n} [time]")));
-    let mut table = TextTable::new(&header.iter().map(|s| &**s).collect::<Vec<_>>());
-    let mut avg_time: BTreeMap<String, (f64, usize)> = BTreeMap::new();
-    for (bi, &b) in budgets.iter().enumerate() {
-        let mut row = vec![format!("{b}")];
-        for name in &names {
-            let (f1, _, k) = acc[&(name.clone(), bi)];
-            row.push(pct(f1 / k as f64));
-        }
-        for name in &names {
-            let (_, s, k) = acc[&(name.clone(), bi)];
-            row.push(secs(s / k as f64));
-            let e = avg_time.entry(name.clone()).or_insert((0.0, 0));
-            e.0 += s;
-            e.1 += k;
-        }
-        table.row(row);
-    }
-    println!("--- DGov-NTR: F1 and runtime per domain-folding design ---");
-    println!("{}", table.render());
-    let _ = table.write_csv("fig6_dgov_ntr");
-
-    rec.flush().expect("write EVAL matrix");
+    let sweep = Sweep::run("fig6", scale, &lakes, &budgets, |_, _| variants());
+    let caption = "F1 and runtime per domain-folding design";
+    sweep.print_f1_table("DGov-NTR", caption, Some(Extra::Time));
 
     println!("average runtimes:");
-    for (name, (s, k)) in &avg_time {
-        println!("  {name}: {}", secs(s / *k as f64));
+    let mut names = sweep.systems("DGov-NTR").to_vec();
+    names.sort();
+    for name in &names {
+        let cells: Vec<_> =
+            budgets.iter().filter_map(|&b| sweep.cell("DGov-NTR", name, b)).collect();
+        println!(
+            "  {name}: {}",
+            secs(cells.iter().map(|c| c.seconds).sum::<f64>() / cells.len() as f64)
+        );
     }
-    for (name, report) in &reports {
-        print_stage_report(name, report);
-    }
+    sweep.finish().expect("write EVAL matrix");
 
     println!("\nshape checks (paper §4.5.2): Santos ≈ Standard ≈ RS in F1;");
     println!("runtime Santos > Standard > RS. Extension: SantosMH (MinHash-");

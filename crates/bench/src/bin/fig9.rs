@@ -84,7 +84,7 @@ fn main() {
     }
     println!("\n--- GitTables: runtime vs table count (avg rows/table ~16) ---");
     println!("{}", t.render());
-    let _ = t.write_csv("fig9_gittables");
+    let _ = t.write_csv(scale, "fig9_gittables");
 
     // --- DGov-1K sweep: EDF reported as DNF (paper: out of memory). ---
     let mut t = TextTable::new(&["#tables", "Matelda", "Matelda-EDF", "Raha"]);
@@ -113,7 +113,7 @@ fn main() {
     }
     println!("\n--- DGov-1K: runtime vs table count (avg rows/table ~45) ---");
     println!("{}", t.render());
-    let _ = t.write_csv("fig9_dgov1k");
+    let _ = t.write_csv(scale, "fig9_dgov1k");
 
     // --- Rows-per-table sweep: the asymptotics behind "Matelda is faster
     // than Raha". The paper's corpora average 126–3100 rows per table;
@@ -146,7 +146,7 @@ fn main() {
     }
     println!("\n--- DGov-style, 20 tables: runtime vs rows per table ---");
     println!("{}", t.render());
-    let _ = t.write_csv("fig9_rows_sweep");
+    let _ = t.write_csv(scale, "fig9_rows_sweep");
 
     rec.flush().expect("write EVAL matrix");
 

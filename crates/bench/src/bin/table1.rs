@@ -47,7 +47,7 @@ fn main() {
     );
 
     println!("{}", t.render());
-    let _ = t.write_csv("table1_datasets");
+    let _ = t.write_csv(scale, "table1_datasets");
 
     // One instrumented pipeline run on the smallest lake, so the dataset
     // table also records what the stages cost on it.

@@ -13,9 +13,9 @@ use matelda_baselines::holodetect::HoloDetect;
 use matelda_baselines::raha::{Raha, RahaVariant};
 use matelda_baselines::{Budget, ErrorDetector};
 use matelda_bench::eval::EvalRecorder;
-use matelda_bench::{pct, print_stage_report, MateldaSystem, Scale, TextTable};
+use matelda_bench::{pct, print_stage_report, run_once, MateldaSystem, Scale, TextTable};
 use matelda_lakegen::WdcLake;
-use matelda_table::{CellId, CellMask, Oracle};
+use matelda_table::{CellId, CellMask};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -40,14 +40,13 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(9);
     let mut detections: Vec<(String, CellMask, Vec<CellId>)> = Vec::new();
     for system in &systems {
-        let mut oracle = Oracle::new(&lake.errors);
-        let (mask, report) = system.detect_with_report(&lake.dirty, &mut oracle, budget);
-        print_stage_report(&system.name(), &report);
-        let mut detected: Vec<CellId> = mask.iter_set().collect();
+        let r = run_once(system.as_ref(), &lake, budget);
+        print_stage_report(&system.name(), &r.report);
+        let mut detected: Vec<CellId> = r.predicted.iter_set().collect();
         detected.shuffle(&mut rng);
         detected.truncate(100);
         detected.sort_unstable();
-        detections.push((system.name(), mask, detected));
+        detections.push((system.name(), r.predicted, detected));
     }
     println!();
 
@@ -84,7 +83,7 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    let _ = t.write_csv("table2_wdc");
+    let _ = t.write_csv(scale, "table2_wdc");
     rec.flush().expect("write EVAL matrix");
 
     println!("paper Table 2: Matelda 72%/88%/79%; Raha-Standard 68%/53%/60%;");

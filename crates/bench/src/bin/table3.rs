@@ -10,9 +10,11 @@ use matelda_baselines::holodetect::HoloDetect;
 use matelda_baselines::raha::{Raha, RahaVariant};
 use matelda_baselines::{Budget, ErrorDetector};
 use matelda_bench::eval::{paper_category, EvalRecorder};
-use matelda_bench::{pct, print_stage_report, MateldaSystem, RunReport, Scale, TextTable};
+use matelda_bench::{
+    pct, print_stage_report, run_once, MateldaSystem, RunReport, Scale, TextTable,
+};
 use matelda_lakegen::QuintetLake;
-use matelda_table::{Confusion, Oracle, PerTypeRecall};
+use matelda_table::PerTypeRecall;
 
 fn main() {
     let scale = Scale::from_env();
@@ -38,30 +40,19 @@ fn main() {
         let (mut p_sum, mut r_sum) = (0.0f64, 0.0f64);
         for seed in 1..=seeds {
             let lake = QuintetLake::default().generate(seed);
-            let mut oracle = Oracle::new(&lake.errors);
-            let (predicted, report) = system.detect_with_report(&lake.dirty, &mut oracle, budget);
-            if seed == seeds {
-                last_report.push((system.name(), report));
-            }
-            let conf = Confusion::from_masks(&predicted, &lake.errors);
-            p_sum += conf.precision();
-            r_sum += conf.recall();
-            rec.record_metrics(
-                "Quintet",
-                &system.name(),
-                2.0,
-                seed,
-                conf.precision(),
-                conf.recall(),
-                conf.f1(),
-            );
-            rec.record_types("Quintet", &system.name(), 2.0, seed, &predicted, &lake.typed_errors);
+            let r = run_once(system.as_ref(), &lake, budget);
+            rec.record_run("Quintet", &system.name(), 2.0, seed, &r, &lake);
+            p_sum += r.precision;
+            r_sum += r.recall;
             let typed: Vec<(String, matelda_table::CellMask)> = lake
                 .typed_errors
                 .iter()
                 .map(|(n, m)| (paper_category(n).to_string(), m.clone()))
                 .collect();
-            let per = PerTypeRecall::compute(&predicted, &typed);
+            let per = PerTypeRecall::compute(&r.predicted, &typed);
+            if seed == seeds {
+                last_report.push((system.name(), r.report));
+            }
             for tr in &per.recalls {
                 let Some(recall) = tr.recall else {
                     continue; // no errors of this type in this lake
@@ -86,7 +77,7 @@ fn main() {
         table.row(row);
     }
     println!("{}", table.render());
-    let _ = table.write_csv("table3_quintet_error_types");
+    let _ = table.write_csv(scale, "table3_quintet_error_types");
     rec.flush().expect("write EVAL matrix");
 
     for (name, report) in &last_report {

@@ -214,10 +214,10 @@ impl EvalMatrix {
 /// the committed baseline).
 #[derive(Debug)]
 pub struct EvalRecorder {
-    experiment: String,
+    pub(crate) experiment: String,
     scale: String,
     path: PathBuf,
-    cells: Vec<EvalCell>,
+    pub(crate) cells: Vec<EvalCell>,
 }
 
 impl EvalRecorder {

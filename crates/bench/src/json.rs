@@ -2,7 +2,10 @@
 //! covering just enough of the grammar for `EVAL_matrix.json`, plus a
 //! deterministic serializer for emitting it. Hand-rolled like everything
 //! else in the workspace — the matrix is a small, known shape and the
-//! crate policy is no third-party dependencies.
+//! crate policy is no third-party dependencies. Strings render through
+//! the workspace's one JSON string writer, [`matelda_obs::json_string`].
+
+use matelda_obs::json_string;
 
 /// A parsed JSON value (just enough of the grammar for the matrix file).
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +91,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => render_string(s, out),
+            Json::Str(s) => out.push_str(&json_string(s)),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -105,7 +108,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(k, out);
+                    out.push_str(&json_string(k));
                     out.push(':');
                     v.render_into(out);
                 }
@@ -113,22 +116,6 @@ impl Json {
             }
         }
     }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {

@@ -17,6 +17,7 @@
 
 use crate::engine::QualityFolds;
 use crate::pipeline::{DetectionResult, RunArtifacts};
+use matelda_obs::json_string;
 use matelda_table::{CellId, CellMask, Lake};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -241,8 +242,8 @@ impl FailureReport {
         out
     }
 
-    /// Renders the report as JSON (hand-rolled, dependency-free; the
-    /// same escaping rules as the bench harness's writer).
+    /// Renders the report as JSON (hand-rolled; strings go through
+    /// [`matelda_obs::json_string`]).
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -260,15 +261,15 @@ impl FailureReport {
                 "{{\"kind\":{},\"cell\":[{},{},{}],\"table\":{},\"column\":{},\"value\":{},\
                  \"truth_type\":{},\"fired\":[{}],\"quality_fold\":{},\"anchor\":{},\
                  \"propagated\":{}}}",
-                json_str(d.kind.label()),
+                json_string(d.kind.label()),
                 d.id.table,
                 d.id.row,
                 d.id.col,
-                json_str(&d.table),
-                json_str(&d.column),
-                json_str(&d.value),
-                d.truth_type.as_deref().map_or("null".to_string(), json_str),
-                d.fired.iter().map(|f| json_str(f)).collect::<Vec<_>>().join(","),
+                json_string(&d.table),
+                json_string(&d.column),
+                json_string(&d.value),
+                d.truth_type.as_deref().map_or("null".to_string(), json_string),
+                d.fired.iter().map(|f| json_string(f)).collect::<Vec<_>>().join(","),
                 d.quality_fold.map_or("null".to_string(), |f| f.to_string()),
                 match d.anchor {
                     Some((a, v)) =>
@@ -295,27 +296,6 @@ fn md_cell(s: &str) -> String {
     } else {
         escaped
     }
-}
-
-/// A JSON string literal with the standard escapes.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

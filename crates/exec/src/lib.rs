@@ -27,7 +27,7 @@ mod pool;
 
 pub use pool::{Pool, WEDGE_FAULTPOINT};
 
-use matelda_obs::{Buckets, Obs, Stopwatch};
+use matelda_obs::{json_string, Buckets, Obs, Stopwatch};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -446,8 +446,8 @@ impl RunReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"wall_secs\":{:.6},\"items\":{}",
-                json_escape(&s.name),
+                "{{\"name\":{},\"wall_secs\":{:.6},\"items\":{}",
+                json_string(&s.name),
                 s.wall_secs,
                 s.items
             ));
@@ -457,7 +457,7 @@ impl RunReport {
                     if j > 0 {
                         out.push(',');
                     }
-                    out.push_str(&format!("\"{}\":{}", json_escape(k), json_number(*v)));
+                    out.push_str(&format!("{}:{}", json_string(k), json_number(*v)));
                 }
                 out.push('}');
             }
@@ -471,10 +471,10 @@ impl RunReport {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "{{\"stage\":\"{}\",\"index\":{},\"message\":\"{}\"}}",
-                    json_escape(&fault.stage),
+                    "{{\"stage\":{},\"index\":{},\"message\":{}}}",
+                    json_string(&fault.stage),
                     fault.index,
-                    json_escape(&fault.message)
+                    json_string(&fault.message)
                 ));
             }
             out.push(']');
@@ -482,18 +482,6 @@ impl RunReport {
         out.push('}');
         out
     }
-}
-
-/// Minimal JSON string escaping.
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Test-only fault injection.

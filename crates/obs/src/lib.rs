@@ -643,8 +643,12 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
+/// Renders `s` as a JSON string literal: quoted, with `"` and `\`
+/// escaped, `\n`, `\r` and `\t` by name and every other control
+/// character as `\u00XX`. The workspace's one JSON string writer: the
+/// obs exports, the run and failure reports and the eval matrix all
+/// render their strings through it.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -811,5 +815,12 @@ mod tests {
         });
         assert_eq!(obs.counter("shared"), Some(4));
         assert_eq!(obs.spans().len(), 4);
+    }
+
+    #[test]
+    fn json_string_escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("a\"b\\c\nd\re\tf\u{1}g"), "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\"");
+        assert_eq!(json_string("é→"), "\"é→\"", "non-ASCII passes through");
     }
 }
