@@ -5,8 +5,9 @@
 //! GitTables (100–1000 tables, small tables) and DGov-1K (250–1173
 //! tables, larger tables). Execution time covers everything from data
 //! intake to prediction; labeling interaction is excluded by design (the
-//! oracle answers instantly). Averages over 3 independent runs, like the
-//! paper.
+//! oracle answers instantly). Averages over `Scale::seeds()` independent
+//! runs: 1 at quick scale, 2 at small and full (the paper averages 3);
+//! `MATELDA_SEEDS` overrides.
 //!
 //! Mirroring §4.6: Matelda-EDF is not run on the DGov-1K subsets — in the
 //! paper it exhausts memory there; here the quadratic cell-clustering

@@ -118,10 +118,11 @@ struct PoolState {
     panic: Option<Box<dyn Any + Send>>,
     /// Set by `Drop`; workers exit their loop.
     shutdown: bool,
-    /// Workers that have observed shutdown and left their loop. `Drop`
-    /// waits (bounded) for this to reach the spawned count before
-    /// joining — a wedged worker keeps the count short and is detached.
-    exited: usize,
+    /// Per worker (index `id − 1`), whether it has observed shutdown and
+    /// left its loop, so that it is only returning. `Drop` waits
+    /// (bounded) for every spawned worker's flag, joins the flagged ones
+    /// and detaches the rest — a wedged worker never sets its flag.
+    exited: Vec<bool>,
 }
 
 struct Shared {
@@ -174,7 +175,7 @@ impl Pool {
                     remaining: 0,
                     panic: None,
                     shutdown: false,
-                    exited: 0,
+                    exited: vec![false; threads.saturating_sub(1)],
                 }),
                 work: Condvar::new(),
                 done: Condvar::new(),
@@ -292,14 +293,14 @@ impl Drop for Pool {
         }
         self.shared.work.notify_all();
         // Wait — bounded — for every worker to acknowledge shutdown.
-        // Workers bump `exited` on their way out; a wedged one keeps the
-        // count short until the deadline expires.
+        // Workers set their `exited` flag on their way out; a wedged one
+        // leaves its flag unset until the deadline expires.
         let spawned = self.spawned.load(Ordering::Acquire);
         let deadline =
             Instant::now() + Duration::from_millis(self.join_deadline_ms.load(Ordering::Relaxed));
-        {
+        let exited = {
             let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-            while state.exited < spawned {
+            while !state.exited[..spawned].iter().all(|&e| e) {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
                     break;
@@ -311,11 +312,17 @@ impl Drop for Pool {
                     .unwrap_or_else(PoisonError::into_inner);
                 state = next;
             }
-        }
+            state.exited.clone()
+        };
         let obs = self.obs.get_mut().unwrap_or_else(PoisonError::into_inner).clone();
         let mut leaked = 0u64;
-        for handle in self.handles.get_mut().unwrap_or_else(PoisonError::into_inner).drain(..) {
-            if handle.is_finished() {
+        let handles = self.handles.get_mut().unwrap_or_else(PoisonError::into_inner);
+        // Handles were pushed in worker-id order, so `handles[i]` is
+        // worker `i + 1`, whose flag is `exited[i]`.
+        for (handle, exited) in handles.drain(..).zip(exited) {
+            if exited {
+                // It acknowledged shutdown and is only returning: joining
+                // waits out at most its return.
                 let _ = handle.join();
             } else {
                 // Past the deadline and still running: detach instead of
@@ -347,7 +354,7 @@ fn worker_loop(shared: &Shared, id: usize) {
                 std::thread::sleep(WEDGE_SLEEP);
             }
             let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.exited += 1;
+            state.exited[id - 1] = true;
             shared.done.notify_all();
             return;
         }
@@ -569,6 +576,22 @@ mod tests {
         drop(pool);
         assert_eq!(obs.counter("exec.pool.leaked_workers"), None);
         assert!(obs.events_named("pool.leak").is_empty());
+    }
+
+    #[test]
+    fn pools_dropped_right_after_their_run_join_every_worker() {
+        // A worker that has acknowledged shutdown may still be returning
+        // when `Drop` looks at it; it must be joined, not reported.
+        let _guard = crate::faultpoint::quiesce();
+        let obs = Obs::enabled();
+        for _ in 0..200 {
+            let pool = Pool::new(3);
+            pool.attach_obs(&obs);
+            pool.run(3, &|_| {});
+            drop(pool);
+        }
+        assert!(obs.events_named("pool.leak").is_empty());
+        assert_eq!(obs.counter("exec.pool.leaked_workers"), None);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The memoized tree grower: one boosting fit searches each tree node
-//! once, however many of its stages reach it.
+//! once, however many of its stages reach it, and each search adds only
+//! where its winner is in doubt.
 //!
 //! Boosting grows one tree per stage on the same samples, and a tree
 //! node is the set of samples its path from the root selects. The same
@@ -13,20 +14,33 @@
 //!   vector feature after feature with a stable sort, so ties under
 //!   feature `f` keep the order feature `f − 1` left;
 //! * the candidate boundaries, where the sorted codes change, and which
-//!   of them leave `min_samples_leaf` samples on each side.
+//!   of them leave `min_samples_leaf` samples on each side;
+//! * the node's distinct classes and how many members each has.
 //!
 //! None of these depends on the stage's targets. [`NodeMemo`] stores
-//! them when a node is first searched, and a later stage that reaches
-//! the node only repeats the reference's f64 additions, in the
-//! reference's order, and scores them. Scores, the strict-`>` argmax,
-//! leaf sums and thus the trees are bit-identical to the reference's
-//! (pinned by this module's tests and `crate::gbm`'s).
+//! them when a node is first searched. A feature whose boundaries and
+//! carried-order prefix equal an earlier stored feature's is not
+//! stored: its sums, and so its scores, are the same bits, and the
+//! reference's strict `>` never picks a later equal score.
+//!
+//! A search then *brackets, then verifies*. Per-class sums, `count ×
+//! target` added in any order, bound each boundary's left sum, and so
+//! its score, from below and above (see [`Scans::bracket`]). The
+//! reference's winner scores at least any boundary's lower bound, so
+//! every boundary whose upper bound falls short of one scores strictly
+//! less and cannot win. When one boundary is left, it is the winner, and the
+//! search adds nothing. Otherwise the search repeats the reference's
+//! f64 additions, in the reference's order, for the remaining
+//! boundaries' features, scores those boundaries and picks among them
+//! with the reference's strict-`>` scan. Scores, the argmax, leaf sums
+//! and thus the trees are bit-identical to the reference's (pinned by
+//! this module's tests and `crate::gbm`'s).
 //!
 //! Samples are grouped into *classes* of bit-identical feature rows:
 //! the memo stores class ids and bins one row per class, and targets and
-//! hessians are given per class. A sum still adds one term per sample,
-//! in sample or carried order — a class's `k` samples are `k`
-//! additions, never one multiplication.
+//! hessians are given per class. An exact sum still adds one term per
+//! sample, in sample or carried order — a class's `k` samples are `k`
+//! additions, never one multiplication; only the bracket multiplies.
 //!
 //! The memo's bytes are capped at [`MEMO_BYTES_PER_SAMPLE`] per sample.
 //! A node that does not fit is searched the same way but not kept, so
@@ -43,9 +57,22 @@ use std::mem::size_of;
 /// much again per split taken. At 256, a TPDF detect of the lake-full
 /// lake (seed 1, 2 threads; its per-fold fits are the largest) peaks
 /// near the histogram grower's ~43 MB instead of 92–99 MB unbounded,
-/// and lake-full's per-column fits scan 4,187 nodes a rep instead of
+/// and lake-full's per-column fits scan 4,246 nodes a rep instead of
 /// 3,424.
 pub const MEMO_BYTES_PER_SAMPLE: usize = 256;
+
+/// The unit roundoff of f64, `2^-53`.
+const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+
+/// Relative slack on a bracketed score: the reference rounds at most
+/// four times between its sums and a score term, and the bound itself
+/// at most seven; 64 unit roundoffs cover both several times over.
+const SCORE_SLACK: f64 = 64.0 * UNIT_ROUNDOFF;
+
+/// Absolute slack on a bracketed score for the products and quotients
+/// that underflow, where relative error bounds fail: each such rounding
+/// errs by less than half the smallest subnormal.
+const UNDERFLOW_SLACK: f64 = 4.0 * f64::MIN_POSITIVE;
 
 /// The target-independent state of every tree node one fit has searched,
 /// reused by each boosting stage's tree (see the module docs). Class ids
@@ -60,7 +87,7 @@ enum Width {
 }
 
 /// A stored class id.
-trait ClassId: Copy {
+trait ClassId: Copy + PartialEq {
     fn index(self) -> usize;
     fn from_class(class: u32) -> Self;
 }
@@ -115,24 +142,38 @@ struct Children {
 }
 
 /// A node's split candidates in the reference's scan order: per feature
-/// with a valid boundary, the carried-order classes up to its last valid
-/// boundary, and the boundaries.
+/// with a valid boundary and no earlier twin, the carried-order classes
+/// up to its last valid boundary, and the boundaries; and the node's
+/// distinct classes, ordered per feature by bin, which bracket the
+/// boundaries' scores.
 #[derive(Debug)]
 struct Scans<I> {
     features: Vec<FeatureScan>,
     /// Concatenated carried-order class prefixes.
     seq: Vec<I>,
-    /// Concatenated valid boundaries: (samples left of it, bin ending
-    /// there), ascending within a feature.
-    bounds: Vec<(u32, u8)>,
+    /// Concatenated valid boundaries, ascending within a feature: the
+    /// samples left of each, the bin ending there, and the distinct
+    /// classes left of it.
+    lefts: Vec<u32>,
+    bins: Vec<u8>,
+    class_lefts: Vec<u32>,
+    /// The node's distinct classes, in first-seen member order, and each
+    /// one's number of members.
+    classes: Vec<I>,
+    counts: Vec<u32>,
+    /// Concatenated per-feature class orders: positions in `classes`
+    /// sorted by the feature's bin, up to its last valid boundary.
+    class_seq: Vec<I>,
 }
 
 #[derive(Debug)]
 struct FeatureScan {
     feature: usize,
-    /// End of this feature's prefix in `seq` and boundaries in `bounds`;
-    /// each starts where the previous feature's ends.
+    /// End of this feature's prefix in `seq`, its class order in
+    /// `class_seq` and its boundaries; each starts where the previous
+    /// feature's ends.
     seq_end: usize,
+    class_seq_end: usize,
     bounds_end: usize,
 }
 
@@ -143,58 +184,204 @@ enum Slot<I> {
     Transient(Vec<I>),
 }
 
+/// `γ_k = k·u / (1 − k·u)`: `k` f64 terms added in any order, each
+/// possibly the rounded product of an exact term, land within
+/// `γ_k·Σ|term|` of their real sum (Higham, *Accuracy and Stability of
+/// Numerical Algorithms*, §3.1 and §4.2).
+fn gamma(k: usize) -> f64 {
+    let ku = k as f64 * UNIT_ROUNDOFF;
+    ku / (1.0 - ku)
+}
+
+/// How far a chain of at most `n` additions can end from a sum of at
+/// most `d` class terms `count × target` over the same samples, whose
+/// absolute values sum to at most `abs`: each lies within its `γ·Σ|t|`
+/// of the real sum. Doubled to cover the rounding of `abs` and of this
+/// bound itself.
+fn sum_err(n: usize, d: usize, abs: f64) -> f64 {
+    2.0 * (gamma(n) + gamma(d)) * abs
+}
+
+/// `values` summed over `ids` with four partial sums, for the bracket,
+/// whose sums may be added in any order.
+fn sum_any_order<I: ClassId>(values: &[f64], ids: &[I]) -> f64 {
+    let mut acc = [0.0f64; 4];
+    let mut quads = ids.chunks_exact(4);
+    for quad in &mut quads {
+        for (acc, &c) in acc.iter_mut().zip(quad) {
+            *acc += values[c.index()];
+        }
+    }
+    let rest: f64 = quads.remainder().iter().map(|&c| values[c.index()]).sum();
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + rest
+}
+
 impl<I: ClassId> Scans<I> {
     fn bytes(&self) -> usize {
-        self.seq.len() * size_of::<I>()
-            + self.bounds.len() * size_of::<(u32, u8)>()
+        (self.seq.len() + self.classes.len() + self.class_seq.len()) * size_of::<I>()
+            + (self.lefts.len() + self.class_lefts.len() + self.counts.len()) * size_of::<u32>()
+            + self.bins.len()
             + self.features.len() * size_of::<FeatureScan>()
     }
 
-    /// The reference's split search over these candidates: the split
-    /// with the largest `left_sum²/nl + right_sum²/nr`, the first of
-    /// equal scores. `total_sum` is the node's target sum.
-    fn best_split(&self, targets: &[f64], n: usize, total_sum: f64) -> Option<(usize, u8)> {
-        let left_sums = self.left_sums(targets);
-        let n = n as f64;
-        let mut best: Option<(usize, u8, f64)> = None;
-        let mut bounds_start = 0;
-        for fs in &self.features {
-            for (&(nl, bin), &left_sum) in
-                self.bounds[bounds_start..fs.bounds_end].iter().zip(&left_sums[bounds_start..])
-            {
-                let (nl, nr) = (f64::from(nl), n - f64::from(nl));
-                let right_sum = total_sum - left_sum;
-                let score = left_sum * left_sum / nl + right_sum * right_sum / nr;
-                if best.is_none_or(|(_, _, s)| score > s) {
-                    best = Some((fs.feature, bin, score));
-                }
-            }
-            bounds_start = fs.bounds_end;
+    /// The reference's split search over these candidates, for the node
+    /// with these `members`: the split with the largest `left_sum²/nl +
+    /// right_sum²/nr`, the first of equal scores. The bracket closes the
+    /// boundaries that cannot win; the reference's additions decide
+    /// among the open ones.
+    fn best_split(&self, targets: &[f64], members: &[I]) -> Option<(usize, u8)> {
+        if self.lefts.is_empty() {
+            return None;
         }
-        best.map(|(f, b, _)| (f, b))
+        let open = self.bracket(targets, members.len());
+        if let Some(open) = &open {
+            let mut open = open.iter().enumerate().filter(|&(_, &o)| o);
+            if let (Some((j, _)), None) = (open.next(), open.next()) {
+                #[cfg(test)]
+                tests::tally(tests::Outcome::Settled);
+                return Some(self.split_at(j));
+            }
+        }
+        #[cfg(test)]
+        tests::tally(tests::Outcome::Verified);
+        self.verify(targets, members, open.as_deref()).map(|j| self.split_at(j))
     }
 
-    /// Each boundary's left sum, in `bounds` order: per feature, the
-    /// targets of its carried-order classes added one by one from `0.0`,
-    /// read off after each of its boundaries. Each feature's additions
-    /// form one dependent chain, so [`LANES`] features' chains run
-    /// interleaved to overlap their latencies; each chain's own order is
-    /// unchanged.
-    fn left_sums(&self, targets: &[f64]) -> Vec<f64> {
-        let mut sums = vec![0.0f64; self.bounds.len()];
+    /// The reference's strict-`>` scan over the `open` boundaries (all
+    /// of them without `open`), scored from the reference's additions:
+    /// the winning boundary's index.
+    fn verify(&self, targets: &[f64], members: &[I], open: Option<&[bool]>) -> Option<usize> {
+        // The reference's node total: one chain from `Iterator::sum`'s
+        // `-0.0`.
+        let total_sum = members.iter().fold(-0.0f64, |s, &c| s + targets[c.index()]);
+        let left_sums = self.left_sums(targets, open);
+        let n = members.len() as f64;
+        let mut best: Option<(usize, f64)> = None;
+        for (j, (&nl, &left_sum)) in self.lefts.iter().zip(&left_sums).enumerate() {
+            if open.is_some_and(|open| !open[j]) {
+                continue;
+            }
+            let (nl, nr) = (f64::from(nl), n - f64::from(nl));
+            let right_sum = total_sum - left_sum;
+            let score = left_sum * left_sum / nl + right_sum * right_sum / nr;
+            if best.is_none_or(|(_, s)| score > s) {
+                best = Some((j, score));
+            }
+        }
+        best.map(|(j, _)| j)
+    }
+
+    /// The split boundary `j` stands for.
+    fn split_at(&self, j: usize) -> (usize, u8) {
+        let fs = self.features.iter().find(|fs| j < fs.bounds_end).expect("a boundary's feature");
+        (fs.feature, self.bins[j])
+    }
+
+    /// Which boundaries can still win, one flag per boundary; `None`
+    /// when a bound is not finite (NaN or overflowing targets), as every
+    /// boundary must then be verified.
+    ///
+    /// Per boundary, `L̃` sums the left classes' `count × target` terms
+    /// in any order. The reference's chain adds the same `nl` targets
+    /// one by one, so its `L` lies within [`sum_err`] of `L̃`; so does
+    /// the node total `T` of `T̃`, and `T − L` lies within both errors of
+    /// `T̃ − L̃`. Squaring the largest and the smallest magnitudes these
+    /// allow, with slack for the score's own roundings, gives `lo ≤
+    /// score ≤ hi`. The reference's winner `j*` scores at least any
+    /// boundary's `lo`, so with `bar` the `lo` of the boundary with the
+    /// highest `hi`, `hi[j*] ≥ score[j*] ≥ bar` keeps `j*` open, and a
+    /// closed boundary scores strictly below `j*`, so closing it cannot
+    /// move the first-of-equals choice.
+    fn bracket(&self, targets: &[f64], n: usize) -> Option<Vec<bool>> {
+        let terms: Vec<f64> = self
+            .classes
+            .iter()
+            .zip(&self.counts)
+            .map(|(&c, &k)| f64::from(k) * targets[c.index()])
+            .collect();
+        let (total, abs) = terms.iter().fold((0.0, 0.0), |(s, a), &t| (s + t, a + t.abs()));
+        let err = sum_err(n, terms.len(), abs);
+        // `T̃ − L̃` rounds once more.
+        let right_err = |right: f64| 2.0 * err + 2.0 * UNIT_ROUNDOFF * right.abs();
+        let n = n as f64;
+        let score = |l: f64, r: f64, nl: f64| l * l / nl + r * r / (n - nl);
+        let mut his = Vec::with_capacity(self.lefts.len());
+        // The highest `hi` so far, and its boundary's sum and left count.
+        let mut top = (f64::NEG_INFINITY, 0.0, 0.0);
+        let (mut start, mut class_start) = (0, 0);
+        for fs in &self.features {
+            let mut left = 0.0;
+            let mut pos = class_start;
+            for (&nl, &dl) in
+                self.lefts[start..fs.bounds_end].iter().zip(&self.class_lefts[start..])
+            {
+                let end = class_start + dl as usize;
+                left += sum_any_order(&terms, &self.class_seq[pos..end]);
+                pos = end;
+                let nl = f64::from(nl);
+                let right = total - left;
+                let hi = score(left.abs() + err, right.abs() + right_err(right), nl);
+                let hi = hi * (1.0 + SCORE_SLACK) + UNDERFLOW_SLACK;
+                if hi > top.0 {
+                    top = (hi, left, nl);
+                }
+                his.push(hi);
+            }
+            (start, class_start) = (fs.bounds_end, fs.class_seq_end);
+        }
+        let (_, left, nl) = top;
+        let right = total - left;
+        let lo = score((left.abs() - err).max(0.0), (right.abs() - right_err(right)).max(0.0), nl);
+        let bar = lo * (1.0 - SCORE_SLACK) - UNDERFLOW_SLACK;
+        if !bar.is_finite() || !his.iter().all(|hi| hi.is_finite()) {
+            return None;
+        }
+        Some(his.iter().map(|&hi| hi >= bar).collect())
+    }
+
+    /// Whether a stored feature has the left counts of the boundaries
+    /// pushed from `bounds_start` on and the carried-order `prefix`: the
+    /// same additions, so the same left sums and scores, earlier in the
+    /// reference's scan.
+    fn has_twin(&self, bounds_start: usize, prefix: &[I]) -> bool {
+        let new = &self.lefts[bounds_start..];
+        let (mut seq_start, mut start) = (0, 0);
+        self.features.iter().any(|fs| {
+            let lefts = &self.lefts[start..fs.bounds_end];
+            let seq = &self.seq[seq_start..fs.seq_end];
+            (seq_start, start) = (fs.seq_end, fs.bounds_end);
+            lefts == new && seq == prefix
+        })
+    }
+
+    /// Each boundary's left sum: per feature, the targets of its
+    /// carried-order classes added one by one from `0.0`, read off after
+    /// each of its boundaries. With `open`, a feature runs only up to its
+    /// last open boundary, and the sums past it stay `0.0`. Each
+    /// feature's additions form one dependent chain, so [`LANES`]
+    /// features' chains run interleaved to overlap their latencies; each
+    /// chain's own order is unchanged.
+    fn left_sums(&self, targets: &[f64], open: Option<&[bool]>) -> Vec<f64> {
+        let mut sums = vec![0.0f64; self.lefts.len()];
         let mut chains = Vec::with_capacity(self.features.len());
         let (mut seq_start, mut bounds_start) = (0, 0);
         let mut rest = sums.as_mut_slice();
         for fs in &self.features {
             let (head, tail) = rest.split_at_mut(fs.bounds_end - bounds_start);
-            chains.push(Chain {
-                seq: &self.seq[seq_start..fs.seq_end],
-                bounds: &self.bounds[bounds_start..fs.bounds_end],
-                sums: head,
-                k: 0,
-                pos: 0,
-                acc: 0.0,
+            let len = open.map_or(head.len(), |open| {
+                let open = &open[bounds_start..fs.bounds_end];
+                open.iter().rposition(|&o| o).map_or(0, |last| last + 1)
             });
+            if len > 0 {
+                chains.push(Chain {
+                    seq: &self.seq[seq_start..fs.seq_end],
+                    lefts: &self.lefts[bounds_start..bounds_start + len],
+                    sums: &mut head[..len],
+                    k: 0,
+                    pos: 0,
+                    acc: 0.0,
+                });
+            }
             rest = tail;
             (seq_start, bounds_start) = (fs.seq_end, fs.bounds_end);
         }
@@ -202,7 +389,7 @@ impl<I: ClassId> Scans<I> {
         let mut lanes: Vec<Chain<'_, I>> = pending.by_ref().take(LANES).collect();
         while let Ok(full) = <&mut [Chain<'_, I>; LANES]>::try_from(lanes.as_mut_slice()) {
             add_lanes(targets, full);
-            lanes.retain(|c| c.k < c.bounds.len());
+            lanes.retain(|c| c.k < c.lefts.len());
             lanes.extend(pending.by_ref().take(LANES - lanes.len()));
         }
         for chain in &mut lanes {
@@ -215,13 +402,13 @@ impl<I: ClassId> Scans<I> {
 /// Chains of additions run in lockstep by [`Scans::left_sums`].
 const LANES: usize = 4;
 
-/// One feature's chain of additions: its carried-order classes, its
-/// boundaries, where to record the running sum at each, and how far it
-/// has come: the next boundary `k`, the position `pos` and the running
-/// sum `acc`.
+/// One feature's chain of additions: its carried-order classes, the
+/// left counts of its boundaries, where to record the running sum at
+/// each, and how far it has come: the next boundary `k`, the position
+/// `pos` and the running sum `acc`.
 struct Chain<'a, I> {
     seq: &'a [I],
-    bounds: &'a [(u32, u8)],
+    lefts: &'a [u32],
     sums: &'a mut [f64],
     k: usize,
     pos: usize,
@@ -231,12 +418,12 @@ struct Chain<'a, I> {
 impl<I: ClassId> Chain<'_, I> {
     /// Positions left before the next boundary.
     fn to_boundary(&self) -> usize {
-        self.bounds[self.k].0 as usize - self.pos
+        self.lefts[self.k] as usize - self.pos
     }
 
     /// Records the running sum if the chain stands at its next boundary.
     fn record(&mut self) {
-        if self.pos == self.bounds[self.k].0 as usize {
+        if self.pos == self.lefts[self.k] as usize {
             self.sums[self.k] = self.acc;
             self.k += 1;
         }
@@ -244,8 +431,8 @@ impl<I: ClassId> Chain<'_, I> {
 
     /// Continues the chain alone to its end.
     fn add_rest(&mut self, targets: &[f64]) {
-        while self.k < self.bounds.len() {
-            let end = self.bounds[self.k].0 as usize;
+        while self.k < self.lefts.len() {
+            let end = self.lefts[self.k] as usize;
             for &c in &self.seq[self.pos..end] {
                 self.acc += targets[c.index()];
             }
@@ -344,7 +531,9 @@ impl<I: ClassId> Memo<I> {
     }
 
     /// [`RegressionTree::fit`]'s `grow` over the node in `slot`,
-    /// returning the new tree node's arena index.
+    /// returning the new tree node's arena index. Sums are taken where
+    /// they are used: the leaf's target and hessian sums only at a leaf,
+    /// the node total only by a search that verifies.
     fn grow_node(
         &mut self,
         tree: &mut Vec<Node>,
@@ -353,25 +542,26 @@ impl<I: ClassId> Memo<I> {
         targets: &[f64],
         hessians: &[f64],
     ) -> usize {
-        let members = self.members(&slot);
-        let n = members.len();
-        // The reference's target and hessian sums, as two interleaved
-        // chains that start from `Iterator::sum`'s `-0.0`.
-        let (mut target_sum, mut hessian_sum) = (-0.0f64, -0.0f64);
-        for &c in members {
-            target_sum += targets[c.index()];
-            hessian_sum += hessians[c.index()];
-        }
-        let first = targets[members[0].index()];
-        let pure = members.iter().all(|&c| (targets[c.index()] - first).abs() < 1e-12);
+        let n = self.members(&slot).len();
         let min_leaf = self.config.min_samples_leaf;
-        let split = if pure || depth >= self.config.max_depth || n < 2 * min_leaf || n < 2 {
+        let split = if depth >= self.config.max_depth
+            || n < 2 * min_leaf
+            || n < 2
+            || self.pure(&slot, targets)
+        {
             None
         } else {
-            self.search(&slot, targets, target_sum)
+            self.search(&slot, targets)
         };
         let id = tree.len();
         let Some((feature, bin)) = split else {
+            // The reference's leaf sums, as two interleaved chains that
+            // start from `Iterator::sum`'s `-0.0`.
+            let (mut target_sum, mut hessian_sum) = (-0.0f64, -0.0f64);
+            for &c in self.members(&slot) {
+                target_sum += targets[c.index()];
+                hessian_sum += hessians[c.index()];
+            }
             tree.push(Node::Leaf { value: target_sum / (hessian_sum + 1e-9) });
             return id;
         };
@@ -393,27 +583,41 @@ impl<I: ClassId> Memo<I> {
         }
     }
 
-    /// The best split of the node in `slot`, whose targets sum to
-    /// `target_sum`, from its memoized scans — scanned now on its first
-    /// search, and kept if they fit.
-    fn search(&mut self, slot: &Slot<I>, targets: &[f64], target_sum: f64) -> Option<(usize, u8)> {
-        let n = self.members(slot).len();
+    /// The reference's purity test: every member's target within
+    /// `1e-12` of the first member's. Once the node's scans are stored,
+    /// it tests each distinct class once.
+    fn pure(&self, slot: &Slot<I>, targets: &[f64]) -> bool {
+        let members = self.members(slot);
+        let first = targets[members[0].index()];
+        let near = |&c: &I| (targets[c.index()] - first).abs() < 1e-12;
+        match slot {
+            Slot::Stored(id) => match &self.nodes[*id].scans {
+                Some(scans) => scans.classes.iter().all(near),
+                None => members.iter().all(near),
+            },
+            Slot::Transient(_) => members.iter().all(near),
+        }
+    }
+
+    /// The best split of the node in `slot` from its memoized scans —
+    /// scanned now on its first search, and kept if they fit.
+    fn search(&mut self, slot: &Slot<I>, targets: &[f64]) -> Option<(usize, u8)> {
         let id = match slot {
             Slot::Stored(id) => *id,
             Slot::Transient(members) => {
-                return self.scan(members).best_split(targets, n, target_sum);
+                return self.scan(members).best_split(targets, members);
             }
         };
         if self.nodes[id].scans.is_none() {
             let scans = self.scan(&self.nodes[id].members);
             if !self.fits(scans.bytes()) {
-                return scans.best_split(targets, n, target_sum);
+                return scans.best_split(targets, &self.nodes[id].members);
             }
             self.bytes += scans.bytes();
             self.nodes[id].scans = Some(scans);
         }
-        let scans = self.nodes[id].scans.as_ref().expect("scanned above");
-        scans.best_split(targets, n, target_sum)
+        let node = &self.nodes[id];
+        node.scans.as_ref().expect("scanned above").best_split(targets, &node.members)
     }
 
     /// The children of the node in `slot` under the split `feature ≤
@@ -455,37 +659,55 @@ impl<I: ClassId> Memo<I> {
     /// of the carried order by each feature's codes (a counting sort; a
     /// feature constant in the node leaves the order as it is), and the
     /// boundaries between its occupied bins that leave at least
-    /// `min_samples_leaf` samples on each side.
+    /// `min_samples_leaf` samples on each side. A feature whose
+    /// boundaries and prefix twin an earlier stored feature's is not
+    /// stored (see the module docs). Each stored feature also orders the
+    /// node's distinct classes by bin, for the bracket.
     fn scan(&self, members: &[I]) -> Scans<I> {
         let n = members.len();
         let min_leaf = self.config.min_samples_leaf;
         // Bin counts come from each class's count in the node, once per
         // distinct class rather than once per member.
-        let mut multiplicity = vec![0usize; self.data.n_rows()];
-        let mut distinct = Vec::new();
+        let mut multiplicity = vec![0u32; self.data.n_rows()];
+        let mut classes = Vec::new();
         for &c in members {
             if multiplicity[c.index()] == 0 {
-                distinct.push(c);
+                classes.push(c);
             }
             multiplicity[c.index()] += 1;
         }
+        let counts = classes.iter().map(|c| multiplicity[c.index()]).collect();
+        let mut scans = Scans {
+            features: Vec::new(),
+            seq: Vec::new(),
+            lefts: Vec::new(),
+            bins: Vec::new(),
+            class_lefts: Vec::new(),
+            classes,
+            counts,
+            class_seq: Vec::new(),
+        };
         let mut order = members.to_vec();
         let mut sorted = order.clone();
-        let mut counts = [0usize; MAX_BINS];
+        let mut by_bin = vec![I::from_class(0); scans.classes.len()];
+        let mut samples = [0usize; MAX_BINS];
+        let mut distinct = [0usize; MAX_BINS];
         let mut cursor = [0usize; MAX_BINS];
-        let mut scans = Scans { features: Vec::new(), seq: Vec::new(), bounds: Vec::new() };
         for f in 0..self.data.n_features() {
             let codes = self.data.codes_of(f);
-            let counts = &mut counts[..self.data.n_bins(f)];
-            counts.fill(0);
-            for &c in &distinct {
-                counts[usize::from(codes[c.index()])] += multiplicity[c.index()];
+            let n_bins = self.data.n_bins(f);
+            samples[..n_bins].fill(0);
+            distinct[..n_bins].fill(0);
+            for (&c, &k) in scans.classes.iter().zip(&scans.counts) {
+                let b = usize::from(codes[c.index()]);
+                samples[b] += k as usize;
+                distinct[b] += 1;
             }
-            if counts.iter().filter(|&&k| k > 0).count() < 2 {
+            if samples[..n_bins].iter().filter(|&&k| k > 0).count() < 2 {
                 continue;
             }
             let mut start = 0;
-            for (cur, &k) in cursor.iter_mut().zip(counts.iter()) {
+            for (cur, &k) in cursor.iter_mut().zip(&samples[..n_bins]) {
                 *cur = start;
                 start += k;
             }
@@ -496,25 +718,47 @@ impl<I: ClassId> Memo<I> {
             }
             std::mem::swap(&mut order, &mut sorted);
 
-            let bounds_start = scans.bounds.len();
-            let mut nl = 0;
-            for (b, &k) in counts.iter().enumerate() {
-                nl += k;
-                if k == 0 || nl == n {
+            let bounds_start = scans.lefts.len();
+            let (mut nl, mut dl) = (0, 0);
+            for b in 0..n_bins {
+                nl += samples[b];
+                dl += distinct[b];
+                if samples[b] == 0 || nl == n {
                     continue;
                 }
                 if nl >= min_leaf && n - nl >= min_leaf {
-                    scans.bounds.push((nl as u32, b as u8));
+                    scans.lefts.push(nl as u32);
+                    scans.bins.push(b as u8);
+                    scans.class_lefts.push(dl as u32);
                 }
             }
-            if let Some(&(last, _)) = scans.bounds[bounds_start..].last() {
-                scans.seq.extend_from_slice(&order[..last as usize]);
-                scans.features.push(FeatureScan {
-                    feature: f,
-                    seq_end: scans.seq.len(),
-                    bounds_end: scans.bounds.len(),
-                });
+            let Some(&last) = scans.lefts[bounds_start..].last() else { continue };
+            let prefix = &order[..last as usize];
+            if scans.has_twin(bounds_start, prefix) {
+                scans.lefts.truncate(bounds_start);
+                scans.bins.truncate(bounds_start);
+                scans.class_lefts.truncate(bounds_start);
+                continue;
             }
+            scans.seq.extend_from_slice(prefix);
+            let mut start = 0;
+            for (cur, &k) in cursor.iter_mut().zip(&distinct[..n_bins]) {
+                *cur = start;
+                start += k;
+            }
+            for (pos, &c) in scans.classes.iter().enumerate() {
+                let b = usize::from(codes[c.index()]);
+                by_bin[cursor[b]] = I::from_class(pos as u32);
+                cursor[b] += 1;
+            }
+            let class_last = *scans.class_lefts.last().expect("pushed above") as usize;
+            scans.class_seq.extend_from_slice(&by_bin[..class_last]);
+            scans.features.push(FeatureScan {
+                feature: f,
+                seq_end: scans.seq.len(),
+                class_seq_end: scans.class_seq.len(),
+                bounds_end: scans.lefts.len(),
+            });
         }
         scans
     }
@@ -523,6 +767,32 @@ impl<I: ClassId> Memo<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    /// How a search ended: settled by the bracket alone, or verified by
+    /// the reference's additions.
+    #[derive(Clone, Copy)]
+    pub(super) enum Outcome {
+        Settled,
+        Verified,
+    }
+
+    thread_local! {
+        static OUTCOMES: Cell<[usize; 2]> = const { Cell::new([0; 2]) };
+    }
+
+    pub(super) fn tally(outcome: Outcome) {
+        OUTCOMES.with(|o| {
+            let mut tally = o.get();
+            tally[outcome as usize] += 1;
+            o.set(tally);
+        });
+    }
+
+    /// This thread's searches since the last call, by [`Outcome`].
+    fn outcomes() -> [usize; 2] {
+        OUTCOMES.with(|o| o.replace([0; 2]))
+    }
 
     fn ones(n: usize) -> Vec<f64> {
         vec![1.0; n]
@@ -607,13 +877,18 @@ mod tests {
 
     #[test]
     fn a_full_memo_grows_the_same_trees() {
-        // 600 samples of 200 seven-valued features: the root's carried
-        // orders alone outgrow the byte cap, so its searches and those
-        // of every node without room run on transient scans. Each stage
-        // must still grow the reference's tree.
+        // 600 samples of 200 seven-valued features, no two alike (so
+        // none is dropped as an earlier feature's twin): the root's
+        // carried orders alone outgrow the byte cap, so its searches and
+        // those of every node without room run on transient scans. Each
+        // stage must still grow the reference's tree.
         let n = 600usize;
+        let value = |i: usize, f: usize| {
+            let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (f as u64 + 1);
+            (h.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) >> 32) % 7
+        };
         let x: Vec<Vec<f32>> =
-            (0..n).map(|i| (0..200).map(|f| ((i * (f + 3)) % 7) as f32).collect()).collect();
+            (0..n).map(|i| (0..200).map(|f| value(i, f) as f32).collect()).collect();
         let config = TreeConfig { max_depth: 4, min_samples_leaf: 1 };
         let mut memo = per_sample(&x, &config);
         for stage in 0..3 {
@@ -625,6 +900,165 @@ mod tests {
             let Width::Narrow(inner) = &memo.0 else { panic!("600 classes take 16-bit ids") };
             assert!(inner.bytes <= inner.cap, "stage {stage}: {} > {}", inner.bytes, inner.cap);
             assert!(inner.nodes[0].scans.is_none(), "the root's scans outgrow the cap");
+        }
+    }
+
+    /// Grows one tree per stage with one memo over a class per distinct
+    /// row of `x`, each stage's targets and hessians given per class, and
+    /// asserts each equals the reference's on the same values expanded
+    /// to one per sample. Returns the searches' outcomes.
+    fn assert_stages_equal_exact(
+        x: &[Vec<f32>],
+        stages: &[(Vec<f64>, Vec<f64>)],
+        config: &TreeConfig,
+    ) -> [usize; 2] {
+        let (rows, classes) = per_distinct_row(x);
+        let data = BinnedDataset::build(&rows).expect("binnable input");
+        let mut memo = NodeMemo::new(data, classes.clone(), config.clone());
+        outcomes();
+        for (stage, (targets, hessians)) in stages.iter().enumerate() {
+            let (targets, hessians) = (&targets[..rows.len()], &hessians[..rows.len()]);
+            let expand = |v: &[f64]| classes.iter().map(|&c| v[c as usize]).collect::<Vec<_>>();
+            let exact = RegressionTree::fit(x, &expand(targets), &expand(hessians), config);
+            assert_eq!(memo.grow(targets, hessians), exact, "stage {stage}");
+        }
+        outcomes()
+    }
+
+    /// `n` rows of `features` flags drawn from a small pseudo-random
+    /// generator, so rows repeat and classes hold many samples.
+    fn flag_rows(n: usize, features: usize, seed: u64) -> Vec<Vec<f32>> {
+        let mut state = seed;
+        let mut bit = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 63) as f32
+        };
+        (0..n).map(|_| (0..features).map(|_| bit()).collect()).collect()
+    }
+
+    #[test]
+    fn large_inputs_take_every_search_path() {
+        // 400 rows over 5 random flags and copies of the first 3, so
+        // searches have many samples per class, and copies of a flag
+        // reach the same left sets in other carried orders: the bracket
+        // settles most searches and verifies the near-ties.
+        let mut x = flag_rows(400, 5, 7);
+        for row in &mut x {
+            row.extend_from_within(..3);
+        }
+        let classes = per_distinct_row(&x).0.len();
+        let stages: Vec<(Vec<f64>, Vec<f64>)> = (0..5)
+            .map(|s| {
+                let targets =
+                    (0..classes).map(|c| ((c * 7 + s * 3) % 11) as f64 / 3.0 - 1.5).collect();
+                let hessians = (0..classes).map(|c| 0.25 + ((c + s) % 4) as f64 / 7.0).collect();
+                (targets, hessians)
+            })
+            .collect();
+        let [settled, verified] = assert_stages_equal_exact(
+            &x,
+            &stages,
+            &TreeConfig { max_depth: 5, min_samples_leaf: 2 },
+        );
+        assert!(settled > 0 && verified > 0, "{settled} {verified}");
+    }
+
+    #[test]
+    fn copies_of_a_flag_around_a_shuffle_are_verified_not_guessed() {
+        // Flag 0 and its copies at 2 and 4 have one left set each, but
+        // the shuffling flags between them change its carried order, so
+        // their left sums agree in the reals and may differ in the last
+        // bits. The targets follow flag 0, so those copies are the best
+        // splits; the bracket cannot tell them apart and must verify.
+        let x: Vec<Vec<f32>> = flag_rows(300, 2, 11)
+            .into_iter()
+            .enumerate()
+            .map(|(i, shuffles)| {
+                let flag = f32::from(u8::from(i % 3 == 0));
+                vec![flag, shuffles[0], flag, shuffles[1], flag]
+            })
+            .collect();
+        let classes = per_distinct_row(&x).0;
+        let stages: Vec<(Vec<f64>, Vec<f64>)> = (0..4)
+            .map(|s| {
+                let targets = classes
+                    .iter()
+                    .map(|r| {
+                        let base = if r[0] == 1.0 { 0.7 } else { -0.3 };
+                        base + f64::from(r[1] + 2.0 * r[3]) / (7.0 + s as f64)
+                    })
+                    .collect();
+                (targets, vec![0.3; classes.len()])
+            })
+            .collect();
+        let [_, verified] = assert_stages_equal_exact(
+            &x,
+            &stages,
+            &TreeConfig { max_depth: 2, min_samples_leaf: 1 },
+        );
+        assert!(verified > 0, "the copies' near-tie must be verified");
+    }
+
+    #[test]
+    fn equal_sums_of_different_sets_are_verified_not_guessed() {
+        // Flag 0's left set holds eight classes whose targets, ±a_i plus
+        // tenths, sum to 0.6 per sample in the reals; flag 1's holds
+        // eight other classes with the same targets in another order.
+        // The big terms cancel, so the two left sums round apart, in the
+        // chains and in the bracket's class sums alike, and not always
+        // the same way. Both beat every split of the id feature 2, whose
+        // left sets cancel their big terms too and mix in the rest's -1,
+        // so the bracket's error terms must keep both open whichever
+        // rounds higher.
+        for m in (3..14).map(|e| 10f64.powi(e)) {
+            let a = |i: u8| m * f64::from(i) / 7.0;
+            let left: Vec<(u8, f64)> = (0..4)
+                .flat_map(|i| [(2 * i, a(i + 1)), (2 * i + 1, f64::from(i) / 10.0 - a(i + 1))])
+                .collect();
+            let mirrored: Vec<(u8, f64)> = (0..4)
+                .map(|i| (2 * i, f64::from(i) / 10.0 - a(i + 1)))
+                .chain((0..4).map(|i| (2 * i + 1, a(i + 1))))
+                .collect();
+            let rest: Vec<(u8, f64)> = (0..8).map(|id| (id, -1.0)).collect();
+            let mut x = Vec::new();
+            let mut targets = Vec::new();
+            for (flags, side) in [([0.0, 1.0], left), ([1.0, 0.0], mirrored), ([1.0, 1.0], rest)] {
+                for (id, t) in side {
+                    x.extend((0..40).map(|_| vec![flags[0], flags[1], f32::from(id)]));
+                    targets.push(t);
+                }
+            }
+            let stages = [(targets, vec![0.5; 24])];
+            let [_, verified] = assert_stages_equal_exact(
+                &x,
+                &stages,
+                &TreeConfig { max_depth: 1, min_samples_leaf: 1 },
+            );
+            assert!(verified > 0, "m = {m}: the equal sums' near-tie must be verified");
+        }
+    }
+
+    #[test]
+    fn non_finite_targets_verify_every_boundary() {
+        // NaN, infinite and overflowing targets leave no finite bracket;
+        // the search then verifies every boundary, which is the
+        // reference. Leaves may be NaN, so trees compare as text.
+        let x = flag_rows(200, 6, 3);
+        let (rows, classes) = per_distinct_row(&x);
+        let config = TreeConfig { max_depth: 3, min_samples_leaf: 1 };
+        for poison in [f64::NAN, f64::INFINITY, 1e306] {
+            let targets: Vec<f64> = (0..rows.len())
+                .map(|c| if c % 5 == 1 { poison } else { (c % 7) as f64 / 3.0 - 1.0 })
+                .collect();
+            let hessians = vec![0.5; rows.len()];
+            let data = BinnedDataset::build(&rows).expect("binnable input");
+            let mut memo = NodeMemo::new(data, classes.clone(), config.clone());
+            let expand = |v: &[f64]| classes.iter().map(|&c| v[c as usize]).collect::<Vec<_>>();
+            let exact = RegressionTree::fit(&x, &expand(&targets), &expand(&hessians), &config);
+            let grown = memo.grow(&targets, &hessians);
+            assert_eq!(format!("{grown:?}"), format!("{exact:?}"), "targets with {poison}");
         }
     }
 
@@ -736,6 +1170,115 @@ mod tests {
                 let exact = RegressionTree::fit(&x, &expand(&targets), &expand(&hessians), &config);
                 proptest::prop_assert_eq!(&narrow.grow(&targets, &hessians), &exact);
                 proptest::prop_assert_eq!(&wide.grow(&targets, &hessians), &exact);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        // Boosting on nodes large enough to bracket: 100–500 samples over
+        // a few prototypes, with binary and six-valued features, copies
+        // of the first features after shuffling ones and mirror images
+        // (whose splits tie their originals' in the reals), non-dyadic
+        // targets and min_samples_leaf 1–3. Each stage fits the previous
+        // stage's residuals, so the sums of later stages cancel heavily,
+        // as boosting's gradients do.
+        #[test]
+        fn residual_stages_equal_the_reference_on_large_nodes(
+            prototypes in proptest::collection::vec(
+                proptest::collection::vec(0u8..6, 7),
+                2usize..10,
+            ),
+            picks in proptest::collection::vec(0usize..64, 100usize..500),
+            copies in 0usize..4,
+            raw in proptest::collection::vec((-6i8..6, 0u8..7, 0u8..4), 10),
+            stages in 2usize..6,
+            max_depth in 1usize..5,
+            min_leaf in 1usize..4,
+        ) {
+            let x: Vec<Vec<f32>> = picks
+                .iter()
+                .map(|&p| {
+                    let row = &prototypes[p % prototypes.len()];
+                    let mut x: Vec<f32> = row
+                        .iter()
+                        .enumerate()
+                        .map(|(f, &v)| f32::from(if f % 2 == 0 { v % 2 } else { v }))
+                        .collect();
+                    x.extend_from_within(..copies);
+                    x.extend([1.0 - x[0], 5.0 - x[1]]);
+                    x
+                })
+                .collect();
+            let (rows, classes) = per_distinct_row(&x);
+            let raw = &raw[..rows.len()];
+            let mut targets: Vec<f64> =
+                raw.iter().map(|&(t, j, _)| f64::from(t) / 3.0 + f64::from(j) / 7.0).collect();
+            let hessians: Vec<f64> =
+                raw.iter().map(|&(_, _, h)| 0.5 + f64::from(h) / 3.0).collect();
+            let config = TreeConfig { max_depth, min_samples_leaf: min_leaf };
+            let data = BinnedDataset::build(&rows).expect("binnable input");
+            let mut memo = NodeMemo::new(data, classes.clone(), config.clone());
+            let expand = |v: &[f64]| classes.iter().map(|&c| v[c as usize]).collect::<Vec<_>>();
+            for stage in 0..stages {
+                let exact = RegressionTree::fit(&x, &expand(&targets), &expand(&hessians), &config);
+                let grown = memo.grow(&targets, &hessians);
+                proptest::prop_assert_eq!(&grown, &exact, "stage {}", stage);
+                // Newton residuals: each leaf's members' sum to about 0.
+                for ((t, h), row) in targets.iter_mut().zip(&hessians).zip(&rows) {
+                    *t -= h * grown.predict(row);
+                }
+            }
+        }
+
+        // The bracket never closes the reference's winner, at any scale:
+        // targets from subnormal to near overflow, with heavy cancellation
+        // between large terms of both signs, over copies of features that
+        // tie in the reals.
+        #[test]
+        fn the_bracket_never_closes_the_reference_winner(
+            prototypes in proptest::collection::vec(
+                proptest::collection::vec(0u8..4, 6),
+                2usize..16,
+            ),
+            picks in proptest::collection::vec(0usize..64, 20usize..400),
+            raw in proptest::collection::vec((-8i8..8, 0u8..16), 16),
+            scale in 0usize..6,
+            big in 0usize..3,
+            min_leaf in 1usize..3,
+        ) {
+            let x: Vec<Vec<f32>> = picks
+                .iter()
+                .map(|&p| {
+                    let mut row: Vec<f32> =
+                        prototypes[p % prototypes.len()].iter().map(|&v| f32::from(v)).collect();
+                    row.extend_from_within(..3);
+                    row
+                })
+                .collect();
+            let (rows, classes) = per_distinct_row(&x);
+            let scale = [1e-310, 1e-160, 1e-3, 1.0, 1e150, 1e300][scale];
+            let big = [1.0, 1e4, 1e8][big];
+            let targets: Vec<f64> = raw[..rows.len()]
+                .iter()
+                .map(|&(t, j)| scale * (f64::from(t) * big + f64::from(j) / 7.0))
+                .collect();
+            let data = BinnedDataset::build(&rows).expect("binnable input");
+            let config = TreeConfig { max_depth: 3, min_samples_leaf: min_leaf };
+            let classes = classes.into_iter().map(u16::from_class).collect();
+            let memo = Memo::<u16>::new(data, classes, config);
+            let members = &memo.nodes[0].members;
+            let scans = memo.scan(members);
+            let winner = scans.verify(&targets, members, None);
+            match (winner, scans.bracket(&targets, members.len())) {
+                (Some(winner), Some(open)) => {
+                    proptest::prop_assert!(open[winner], "closed {winner}");
+                }
+                (_, open) => proptest::prop_assert!(
+                    winner.is_none() || open.is_none() && targets.iter().any(|t| t.abs() > 1e100),
+                    "only huge targets leave the bracket unfinite"
+                ),
             }
         }
     }
