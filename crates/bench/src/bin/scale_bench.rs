@@ -9,7 +9,7 @@
 //!   materialized lake's;
 //! * every out-of-core leg streams every cell and writes one spill per
 //!   table;
-//! * the 1-thread leg's peak RSS is at most `10 × lake_bytes`.
+//! * the 1-thread leg's peak RSS is at most `5 × lake_bytes`.
 //!
 //! Every leg labels with the generator's truth (`Oracle`, keyed by cell
 //! id, so the out-of-core and in-memory paths get the same labels). When
@@ -22,9 +22,10 @@
 //! the 1-thread leg: the 2- and 4-thread legs hold more tables at once,
 //! and the in-memory leg materializes the lake. A streaming run keeps
 //! the featurized lake resident (one 4-byte pattern code per cell plus
-//! each table's pattern table) against ~14 columnar bytes per cell. A
-//! 1-thread run peaks near 6.6× the lake, so a change that doubles its
-//! peak breaks the budget.
+//! each table's pattern table) and, from quality folding on, one 4-byte
+//! quality-fold index per clustered cell, against ~14 columnar bytes
+//! per cell. A 1-thread run peaks near 3.1× the lake, so a change that
+//! doubles its peak breaks the budget.
 //!
 //! ```text
 //! cargo run --release -p matelda-bench --bin scale_bench
@@ -41,7 +42,7 @@ use std::process::ExitCode;
 
 /// The 1-thread leg's peak RSS budget, in multiples of the columnar
 /// lake's on-disk size.
-const RSS_BUDGET_LAKES: u64 = 10;
+const RSS_BUDGET_LAKES: u64 = 5;
 
 fn main() -> ExitCode {
     let tier = ScaleTier::LargeCi;

@@ -22,7 +22,10 @@ use matelda_table::wire::{DecodeError, Reader, Writer};
 /// v3: the featurize payload is each table's dictionary encoding
 /// (`CellFeatures::encode_into`, the `.mtf` spill body) instead of the
 /// flattened matrix.
-pub const FORMAT_VERSION: u32 = 3;
+/// v4: quality folds store each domain fold's membership as one local
+/// fold index per cell instead of a `CellId` list per fold, and labeled
+/// folds name their quality fold by index instead of copying it.
+pub const FORMAT_VERSION: u32 = 4;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"MTLDMANI";
 

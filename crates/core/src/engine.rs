@@ -74,7 +74,11 @@ use crate::domain_fold::{
     embed_table_for, folds_from_embedding, refine_syntactic, DomainFolding, Fold,
 };
 use crate::pipeline::{FaultPolicy, LabelingStrategy, MateldaConfig, TrainingStrategy};
-use crate::quality_fold::{budget_per_fold, quality_folds, single_quality_fold, QualityFold};
+use crate::quality_fold::{
+    budget_per_fold, nearest_members, quality_folds, single_quality_fold, FoldMembership,
+    QualityFold,
+};
+use matelda_cluster::kmeans::sq_dist;
 use matelda_cluster::MiniBatchKMeansConfig;
 use matelda_detect::{featurize_table, load_features, spill_features, spill_path, CellFeatures};
 use matelda_embed::encoder::HashedEncoder;
@@ -473,14 +477,19 @@ pub struct QualityFoldEntry {
     pub labeled: bool,
 }
 
-/// Step-2 output: all quality folds plus the per-domain-fold budget
-/// split that shaped them.
+/// Step-2 output: all quality folds, which of them each cell landed in,
+/// and the per-domain-fold budget split that shaped them.
 #[derive(Debug, Clone)]
 pub struct QualityFolds {
-    /// Quality folds in deterministic (domain fold, cluster) order.
+    /// Quality folds in deterministic (domain fold, cluster) order: each
+    /// domain fold's folds are contiguous, in its membership's local
+    /// index order.
     pub entries: Vec<QualityFoldEntry>,
     /// Labels allocated to each domain fold (clamped to the budget).
     pub budgets: Vec<usize>,
+    /// Per domain fold, which of its quality folds each of its cells
+    /// landed in (empty for a domain fold that formed none).
+    pub members: Vec<FoldMembership>,
 }
 
 impl QualityFolds {
@@ -488,14 +497,31 @@ impl QualityFolds {
     pub fn n_total(&self) -> usize {
         self.entries.len()
     }
+
+    /// Domain fold `fi`'s quality folds; a member's local index in
+    /// [`QualityFolds::members`]`[fi]` indexes this slice.
+    pub fn entries_of(&self, fi: usize) -> &[QualityFoldEntry] {
+        let first = self.entries.partition_point(|e| e.domain_fold < fi);
+        let end = self.entries.partition_point(|e| e.domain_fold <= fi);
+        &self.entries[first..end]
+    }
+
+    /// Every clustered cell, domain fold by domain fold in fold order,
+    /// each with its quality fold's index in [`QualityFolds::entries`].
+    pub fn cells<'a>(&'a self, lake: &'a Lake) -> impl Iterator<Item = (CellId, usize)> + 'a {
+        self.members.iter().enumerate().flat_map(move |(fi, membership)| {
+            let first = self.entries.partition_point(|e| e.domain_fold < fi);
+            membership.cells(lake).map(move |(id, q)| (id, first + q))
+        })
+    }
 }
 
 /// One labeled quality fold: the anchor cell that was shown to the
 /// labeler and the verdict that was propagated to the members.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabeledFold {
-    /// The quality fold.
-    pub fold: QualityFold,
+    /// The quality fold's index in [`QualityFolds::entries`].
+    pub fold: usize,
     /// The cell nearest the centroid, which was labeled.
     pub anchor: CellId,
     /// The labeler's verdict for the anchor.
@@ -507,7 +533,8 @@ pub struct LabeledFold {
 pub struct PropagatedLabels {
     /// Row-major per-table label grid; `None` = unlabeled cell.
     pub labels: Vec<Vec<Option<bool>>>,
-    /// The folds that received a label, with their anchors.
+    /// The folds that received a label, in entry order, with their
+    /// anchors.
     pub labeled_folds: Vec<LabeledFold>,
     /// Labels actually drawn from the labeler.
     pub labels_used: usize,
@@ -739,7 +766,7 @@ impl Stage for QualityFoldStage {
             |ctx, fi| {
                 let k = budgets[fi] * fold_multiplier;
                 if k == 0 {
-                    return Vec::new();
+                    return (Vec::new(), FoldMembership::default());
                 }
                 faultpoint::hit("quality_folds", fi);
                 let kmeans = MiniBatchKMeansConfig {
@@ -748,7 +775,7 @@ impl Stage for QualityFoldStage {
                     iterations: cfg.kmeans_iterations,
                     seed: ctx.seed_for(fi),
                 };
-                let mut qfolds = quality_folds(
+                let (qfolds, membership) = quality_folds(
                     ctx.lake,
                     &domain.folds[fi],
                     &featurized.features,
@@ -758,8 +785,9 @@ impl Stage for QualityFoldStage {
                 // TUCF labels only the `budgets[fi]` largest folds;
                 // otherwise every fold is labeled.
                 let labeled: Vec<bool> = if tucf {
+                    let sizes = membership.sizes(qfolds.len());
                     let mut order: Vec<usize> = (0..qfolds.len()).collect();
-                    order.sort_by_key(|&i| std::cmp::Reverse(qfolds[i].cells.len()));
+                    order.sort_by_key(|&i| std::cmp::Reverse(sizes[i]));
                     let mut flag = vec![false; qfolds.len()];
                     for &i in order.iter().take(budgets[fi]) {
                         flag[i] = true;
@@ -768,11 +796,12 @@ impl Stage for QualityFoldStage {
                 } else {
                     vec![true; qfolds.len()]
                 };
-                qfolds
-                    .drain(..)
+                let entries = qfolds
+                    .into_iter()
                     .zip(labeled)
                     .map(|(fold, labeled)| QualityFoldEntry { domain_fold: fi, fold, labeled })
-                    .collect()
+                    .collect();
+                (entries, membership)
             },
             |ctx, fi| {
                 ctx.quarantine.fold_fallbacks.push(fi);
@@ -783,27 +812,36 @@ impl Stage for QualityFoldStage {
                 // zero-budget check); a watchdog deadline can pre-empt a
                 // zero-budget item too, and a fallback fold there would
                 // overspend the budget.
-                if budgets[fi] == 0 {
-                    return Vec::new();
+                let single = (budgets[fi] > 0)
+                    .then(|| single_quality_fold(ctx.lake, &domain.folds[fi], &featurized.features))
+                    .flatten();
+                match single {
+                    Some((fold, membership)) => (
+                        vec![QualityFoldEntry { domain_fold: fi, fold, labeled: true }],
+                        membership,
+                    ),
+                    None => (Vec::new(), FoldMembership::default()),
                 }
-                single_quality_fold(ctx.lake, &domain.folds[fi], &featurized.features)
-                    .map(|fold| QualityFoldEntry { domain_fold: fi, fold, labeled: true })
-                    .into_iter()
-                    .collect()
             },
         );
-        let entries: Vec<QualityFoldEntry> = per_fold.into_iter().flatten().collect();
+        let (entries, members): (Vec<Vec<QualityFoldEntry>>, Vec<FoldMembership>) =
+            per_fold.into_iter().unzip();
+        let entries = entries.into_iter().flatten().collect();
+        let quality = QualityFolds { entries, budgets, members };
 
-        stage.items = entries.iter().map(|e| e.fold.cells.len() as u64).sum();
-        stage.metrics.push(("folds_formed".into(), entries.len() as f64));
-        stage.metrics.push(("budget".into(), budgets.iter().sum::<usize>() as f64));
+        let budget: usize = quality.budgets.iter().sum();
+        stage.items = quality.members.iter().map(|m| m.index.len() as u64).sum();
+        stage.metrics.push(("folds_formed".into(), quality.n_total() as f64));
+        stage.metrics.push(("budget".into(), budget as f64));
         if ctx.obs.is_enabled() {
-            for e in &entries {
-                ctx.obs.record("quality_folds.fold_size", e.fold.cells.len() as f64, Buckets::Size);
+            for (fi, m) in quality.members.iter().enumerate() {
+                for size in m.sizes(quality.entries_of(fi).len()) {
+                    ctx.obs.record("quality_folds.fold_size", size as f64, Buckets::Size);
+                }
             }
-            ctx.obs.counter_add("quality_folds.budget", budgets.iter().sum::<usize>() as u64);
+            ctx.obs.counter_add("quality_folds.budget", budget as u64);
         }
-        QualityFolds { entries, budgets }
+        quality
     }
 }
 
@@ -825,8 +863,9 @@ pub(crate) fn phase1_budget(config: &MateldaConfig, budget: usize) -> usize {
 /// Samples each labeled quality fold's anchor, queries the labeler and
 /// propagates the verdict (Steps 3+4), then optionally spends the
 /// remaining budget on uncertainty refinement. Anchor selection runs on
-/// the executor; the labeler itself is queried sequentially in fold
-/// order (it is a `&mut` oracle or human).
+/// the executor, one pass per domain fold over its membership; the
+/// labeler itself is queried sequentially in entry order (it is a
+/// `&mut` oracle or human).
 pub struct LabelStage<'l> {
     /// The label source.
     pub labeler: &'l mut dyn Labeler,
@@ -853,22 +892,40 @@ impl Stage for LabelStage<'_> {
         let mut labels: Vec<Vec<Option<bool>>> =
             lake.tables.iter().map(|t| vec![None; t.n_rows() * t.n_cols()]).collect();
 
-        // Anchor selection is pure — run it on the executor. The
-        // accessor hands `sample` borrowed feature slices: scanning a
-        // fold's members allocates nothing.
-        let labeled_entries: Vec<&QualityFoldEntry> =
-            quality.entries.iter().filter(|e| e.labeled).collect();
-        let anchors: Vec<CellId> = ctx
+        // Anchor selection is pure — one pass per domain fold over its
+        // membership, on the executor. Feature slices are borrowed:
+        // scanning a fold's members allocates nothing.
+        let anchors: Vec<Option<CellId>> = ctx
             .executor
-            .map(&labeled_entries, |_, e| e.fold.sample(&|id: CellId| featurized.of(id)));
+            .map_n(quality.members.len(), |fi| {
+                let centroids: Vec<Option<&[f32]>> = quality
+                    .entries_of(fi)
+                    .iter()
+                    .map(|e| e.labeled.then_some(e.fold.centroid.as_slice()))
+                    .collect();
+                nearest_members(quality.members[fi].cells(lake), &centroids, |id| featurized.of(id))
+            })
+            .into_iter()
+            .flatten()
+            .collect();
 
+        // The labeler is queried in entry order; the verdicts then
+        // propagate to every member in one pass over the membership.
+        let mut verdicts: Vec<Option<bool>> = vec![None; quality.n_total()];
         let mut labeled_folds: Vec<LabeledFold> = Vec::new();
-        for (entry, &anchor) in labeled_entries.iter().zip(&anchors) {
-            let verdict = self.labeler.label(anchor);
-            for &id in &entry.fold.cells {
-                labels[id.table][id.row * lake[id.table].n_cols() + id.col] = Some(verdict);
+        for (fold, &anchor) in anchors.iter().enumerate() {
+            if let Some(anchor) = anchor {
+                let verdict = self.labeler.label(anchor);
+                verdicts[fold] = Some(verdict);
+                labeled_folds.push(LabeledFold { fold, anchor, verdict });
             }
-            labeled_folds.push(LabeledFold { fold: entry.fold.clone(), anchor, verdict });
+        }
+        let mut propagated = 0u64;
+        for (id, fold) in quality.cells(lake) {
+            if let Some(verdict) = verdicts[fold] {
+                labels[id.table][id.row * lake[id.table].n_cols() + id.col] = Some(verdict);
+                propagated += 1;
+            }
         }
         let phase1 = self.labeler.labels_used();
 
@@ -878,7 +935,7 @@ impl Stage for LabelStage<'_> {
             let remaining = self.budget.saturating_sub(phase1);
             refine_with_uncertainty(
                 ctx,
-                featurized,
+                (quality, featurized),
                 &mut labels,
                 &labeled_folds,
                 self.labeler,
@@ -895,8 +952,7 @@ impl Stage for LabelStage<'_> {
             // of them borrow straight from the featurized lake (the
             // counter records how many per-cell copies the borrowing
             // accessor saved).
-            let lookups: u64 = labeled_entries.iter().map(|e| e.fold.cells.len() as u64).sum();
-            ctx.obs.counter_add("label.anchor_feature_lookups", lookups);
+            ctx.obs.counter_add("label.anchor_feature_lookups", propagated);
             ctx.obs.counter_add("label.labels_used", labels_used as u64);
             ctx.obs.counter_add("label.budget", self.budget as u64);
         }
@@ -1073,7 +1129,7 @@ fn fit_counter(model: &FittedClassifier) -> &'static str {
 /// the nearer anchor cell in feature space.
 fn refine_with_uncertainty(
     ctx: &StageContext<'_>,
-    featurized: &FeaturizedLake,
+    (quality, featurized): (&QualityFolds, &FeaturizedLake),
     labels: &mut [Vec<Option<bool>>],
     labeled_folds: &[LabeledFold],
     labeler: &mut dyn Labeler,
@@ -1088,12 +1144,25 @@ fn refine_with_uncertainty(
     // Ambiguity of a prediction: 1 at p = 0.5, 0 at p in {0, 1}.
     let ambiguity = |id: CellId| 1.0 - 2.0 * (proba(id) - 0.5).abs();
 
-    let mut ranked: Vec<(f64, usize)> = labeled_folds
+    // Each labeled fold's members, gathered once in fold order: the mean
+    // sums in that order, and the probe is the *last* of equally
+    // ambiguous members.
+    let mut slot: Vec<Option<usize>> = vec![None; quality.n_total()];
+    for (i, lf) in labeled_folds.iter().enumerate() {
+        slot[lf.fold] = Some(i);
+    }
+    let mut members: Vec<Vec<CellId>> = vec![Vec::new(); labeled_folds.len()];
+    for (id, fold) in quality.cells(lake) {
+        if let Some(i) = slot[fold] {
+            members[i].push(id);
+        }
+    }
+
+    let mut ranked: Vec<(f64, usize)> = members
         .iter()
         .enumerate()
-        .map(|(i, lf)| {
-            let mean: f64 = lf.fold.cells.iter().map(|&id| ambiguity(id)).sum::<f64>()
-                / lf.fold.cells.len() as f64;
+        .map(|(i, cells)| {
+            let mean: f64 = cells.iter().map(|&id| ambiguity(id)).sum::<f64>() / cells.len() as f64;
             (mean, i)
         })
         .collect();
@@ -1101,13 +1170,11 @@ fn refine_with_uncertainty(
     // probabilities) must rank, not panic.
     ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
 
-    let sq =
-        |a: &[f32], b: &[f32]| -> f32 { a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum() };
     for &(_, fi) in ranked.iter().take(remaining) {
-        let LabeledFold { fold, anchor, verdict: anchor_verdict } = &labeled_folds[fi];
+        let LabeledFold { anchor, verdict: anchor_verdict, .. } = &labeled_folds[fi];
+        let cells = &members[fi];
         // Most ambiguous member that is not the anchor itself.
-        let Some(&probe) = fold
-            .cells
+        let Some(&probe) = cells
             .iter()
             .filter(|&&id| id != *anchor)
             .max_by(|&&a, &&b| ambiguity(a).total_cmp(&ambiguity(b)))
@@ -1121,9 +1188,10 @@ fn refine_with_uncertainty(
         // Contradiction: split the fold between the two anchors.
         let av = featurized.of(*anchor).to_vec();
         let pv = featurized.of(probe).to_vec();
-        for &id in &fold.cells {
+        for &id in cells {
             let fv = featurized.of(id);
-            let v = if sq(fv, &pv) < sq(fv, &av) { probe_verdict } else { *anchor_verdict };
+            let v =
+                if sq_dist(fv, &pv) < sq_dist(fv, &av) { probe_verdict } else { *anchor_verdict };
             labels[id.table][id.row * lake[id.table].n_cols() + id.col] = Some(v);
         }
     }
@@ -1134,6 +1202,11 @@ mod tests {
     use super::*;
     use matelda_lakegen::QuintetLake;
     use matelda_table::oracle::Oracle;
+    use matelda_table::Column;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn cfg_with_threads(threads: usize) -> MateldaConfig {
         MateldaConfig { threads, ..Default::default() }
@@ -1199,5 +1272,258 @@ mod tests {
         assert!(result.report.stage("featurize").expect("exists").items > 0);
         assert!(result.report.stage("label").expect("exists").items > 0);
         assert_eq!(result.report.threads, 2);
+    }
+
+    /// A labeler that answers from a hash of the cell and records every
+    /// cell it is asked about, in order.
+    struct Recording {
+        salt: usize,
+        asked: Vec<CellId>,
+    }
+
+    impl Labeler for Recording {
+        fn label(&mut self, id: CellId) -> bool {
+            self.asked.push(id);
+            (id.table * 31 + id.row * 7 + id.col * 13 + self.salt).is_multiple_of(3)
+        }
+
+        fn labels_used(&self) -> usize {
+            self.asked.len()
+        }
+    }
+
+    /// A value from a small palette, so members are often equidistant
+    /// from a centroid, with ±inf and (if `nan`) NaN among them.
+    fn palette_value(rng: &mut StdRng, nan: bool) -> f32 {
+        const PALETTE: [f32; 8] =
+            [0.0, 1.0, 0.5, -0.0, 1.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let end = if rng.random_bool(0.7) { 5 } else { 7 + usize::from(nan) };
+        PALETTE[rng.random_range(0..end)]
+    }
+
+    /// A label-stage input from `seed`: 1–3 tables, their columns shuffled
+    /// into 1–3 domain folds, and each domain fold either zero-budget (no
+    /// membership), the degraded single fold, k-means quality folds, or
+    /// an arbitrary membership with arbitrary centroids (NaN among them);
+    /// any quality fold may be left unlabeled, as TUCF leaves some.
+    /// Features hold NaN only if `nan_features`: the refinement's models
+    /// do not train on NaN.
+    fn label_input(seed: u64, nan_features: bool) -> (Lake, FeaturizedLake, QualityFolds) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = 2;
+        let mut tables = Vec::new();
+        let mut features = Vec::new();
+        for t in 0..rng.random_range(1..4usize) {
+            let (n_cols, n_rows) = (rng.random_range(1..4usize), rng.random_range(1..7usize));
+            let columns = (0..n_cols).map(|c| Column::new(format!("c{c}"), vec!["v"; n_rows]));
+            tables.push(Table::new(format!("t{t}"), columns.collect()));
+            let flat =
+                (0..n_cols * n_rows * dim).map(|_| palette_value(&mut rng, nan_features)).collect();
+            features.push(CellFeatures::from_flat(n_cols, n_rows, dim, flat));
+        }
+        let lake = Lake::new(tables);
+        let mut columns: Vec<(usize, usize)> = lake
+            .tables
+            .iter()
+            .enumerate()
+            .flat_map(|(t, table)| (0..table.n_cols()).map(move |c| (t, c)))
+            .collect();
+        columns.shuffle(&mut rng);
+        let n_domain = rng.random_range(1..4usize).min(columns.len());
+        let mut cuts: Vec<usize> = (1..columns.len()).collect();
+        cuts.shuffle(&mut rng);
+        cuts.truncate(n_domain - 1);
+        cuts.sort_unstable();
+        let (mut folds, mut start) = (Vec::new(), 0);
+        for end in cuts.into_iter().chain([columns.len()]) {
+            folds.push(Fold { columns: columns[start..end].to_vec() });
+            start = end;
+        }
+
+        let mut quality =
+            QualityFolds { entries: Vec::new(), budgets: Vec::new(), members: Vec::new() };
+        for (fi, fold) in folds.iter().enumerate() {
+            let mode = rng.random_range(0..4u32);
+            let budget = if mode == 0 { 0 } else { rng.random_range(1..4usize) };
+            let (qfolds, membership) = match mode {
+                0 => (Vec::new(), FoldMembership::default()),
+                1 => {
+                    let (q, m) = single_quality_fold(&lake, fold, &features).expect("cells");
+                    (vec![q], m)
+                }
+                2 => {
+                    let k = MiniBatchKMeansConfig {
+                        k: rng.random_range(1..5),
+                        batch_size: 4,
+                        iterations: 5,
+                        seed: rng.random_range(0..1000),
+                    };
+                    quality_folds(&lake, fold, &features, k, &Obs::disabled())
+                }
+                _ => {
+                    let n: usize = fold.columns.iter().map(|&(t, _)| lake[t].n_rows()).sum();
+                    let n_folds = rng.random_range(1..5usize).min(n);
+                    let mut index: Vec<u32> =
+                        (0..n).map(|_| rng.random_range(0..n_folds as u32)).collect();
+                    // Every quality fold keeps at least one member.
+                    let mut order: Vec<usize> = (0..n).collect();
+                    order.shuffle(&mut rng);
+                    for (q, &k) in order.iter().take(n_folds).enumerate() {
+                        index[k] = q as u32;
+                    }
+                    let centroid = |rng: &mut StdRng| QualityFold {
+                        centroid: (0..dim).map(|_| palette_value(rng, true)).collect(),
+                    };
+                    let qfolds = (0..n_folds).map(|_| centroid(&mut rng)).collect();
+                    (qfolds, FoldMembership { columns: fold.columns.clone(), index })
+                }
+            };
+            for fold in qfolds {
+                let labeled = mode == 1 || rng.random_bool(0.75);
+                quality.entries.push(QualityFoldEntry { domain_fold: fi, fold, labeled });
+            }
+            quality.budgets.push(budget);
+            quality.members.push(membership);
+        }
+        (lake, FeaturizedLake { features }, quality)
+    }
+
+    /// The label pass as it ran over one `CellId` list per quality fold,
+    /// kept verbatim: the lists the clustering scattered (each domain
+    /// fold's cells, columns in fold order and rows ascending, pushed
+    /// onto their fold's list), `QualityFold::sample`, the propagation
+    /// fold by fold and the uncertainty refinement with its own `sq`.
+    /// Returns the labels and each labeled fold's (entry, anchor,
+    /// verdict).
+    fn reference_label_pass(
+        ctx: &StageContext<'_>,
+        (quality, featurized): (&QualityFolds, &FeaturizedLake),
+        labeler: &mut dyn Labeler,
+        budget: usize,
+    ) -> (Vec<Vec<Option<bool>>>, Vec<(usize, CellId, bool)>) {
+        let lake = ctx.lake;
+        let mut lists: Vec<Vec<CellId>> = vec![Vec::new(); quality.n_total()];
+        let mut first = 0;
+        for (fi, m) in quality.members.iter().enumerate() {
+            let mut k = 0;
+            for &(t, c) in &m.columns {
+                for r in 0..lake[t].n_rows() {
+                    lists[first + m.index[k] as usize].push(CellId::new(t, r, c));
+                    k += 1;
+                }
+            }
+            first += quality.entries.iter().filter(|e| e.domain_fold == fi).count();
+        }
+        let sample = |cells: &[CellId], centroid: &[f32]| {
+            let mut best = cells[0];
+            let mut best_d = f32::INFINITY;
+            for &id in cells {
+                let d = sq_dist(featurized.of(id), centroid);
+                if d < best_d || (d == best_d && id < best) {
+                    best_d = d;
+                    best = id;
+                }
+            }
+            best
+        };
+        let mut labels: Vec<Vec<Option<bool>>> =
+            lake.tables.iter().map(|t| vec![None; t.n_rows() * t.n_cols()]).collect();
+        let mut labeled_folds = Vec::new();
+        for (i, e) in quality.entries.iter().enumerate().filter(|(_, e)| e.labeled) {
+            let anchor = sample(&lists[i], &e.fold.centroid);
+            let verdict = labeler.label(anchor);
+            for &id in &lists[i] {
+                labels[id.table][id.row * lake[id.table].n_cols() + id.col] = Some(verdict);
+            }
+            labeled_folds.push((i, anchor, verdict));
+        }
+        let phase1 = labeler.labels_used();
+        let remaining = if phase1_budget(ctx.config, budget) < budget {
+            budget.saturating_sub(phase1)
+        } else {
+            0
+        };
+        if remaining == 0 || labeled_folds.is_empty() {
+            return (labels, labeled_folds);
+        }
+        let models = fit_column_models(ctx, featurized, &labels);
+        let proba = |id: CellId| models[id.table][id.col].predict_proba(featurized.of(id));
+        let ambiguity = |id: CellId| 1.0 - 2.0 * (proba(id) - 0.5).abs();
+        let mut ranked: Vec<(f64, usize)> = labeled_folds
+            .iter()
+            .enumerate()
+            .map(|(i, &(e, _, _))| {
+                let cells = &lists[e];
+                let mean: f64 =
+                    cells.iter().map(|&id| ambiguity(id)).sum::<f64>() / cells.len() as f64;
+                (mean, i)
+            })
+            .collect();
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let sq =
+            |a: &[f32], b: &[f32]| -> f32 { a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum() };
+        for &(_, fi) in ranked.iter().take(remaining) {
+            let (e, anchor, anchor_verdict) = labeled_folds[fi];
+            let Some(&probe) = lists[e]
+                .iter()
+                .filter(|&&id| id != anchor)
+                .max_by(|&&a, &&b| ambiguity(a).total_cmp(&ambiguity(b)))
+            else {
+                continue;
+            };
+            let probe_verdict = labeler.label(probe);
+            if probe_verdict == anchor_verdict {
+                continue;
+            }
+            let av = featurized.of(anchor).to_vec();
+            let pv = featurized.of(probe).to_vec();
+            for &id in &lists[e] {
+                let fv = featurized.of(id);
+                let v = if sq(fv, &pv) < sq(fv, &av) { probe_verdict } else { anchor_verdict };
+                labels[id.table][id.row * lake[id.table].n_cols() + id.col] = Some(v);
+            }
+        }
+        (labels, labeled_folds)
+    }
+
+    // The label pass over the membership index is pinned to the per-fold
+    // lists it replaced: the same anchors and probes asked in the same
+    // order, the same labeled folds, and the same propagated and split
+    // labels, with and without refinement.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn label_pass_over_the_index_equals_the_per_fold_lists(
+            seed in 0u64..1_000_000,
+            refine in 0usize..3,
+            extra in 0usize..5,
+            threads in 1usize..3,
+        ) {
+            let (lake, featurized, quality) = label_input(seed, refine == 0);
+            let labeling = if refine == 0 {
+                LabelingStrategy::CentroidPerFold
+            } else {
+                LabelingStrategy::UncertaintyRefinement
+            };
+            let cfg = MateldaConfig { threads, labeling, ..Default::default() };
+            let n_labeled = quality.entries.iter().filter(|e| e.labeled).count();
+            let budget = (n_labeled + extra).max(4);
+
+            let mut ctx = StageContext::new(&lake, &cfg);
+            let mut new = Recording { salt: seed as usize, asked: Vec::new() };
+            let got =
+                LabelStage { labeler: &mut new, budget }.run(&mut ctx, (&quality, &featurized));
+            let mut old = Recording { salt: seed as usize, asked: Vec::new() };
+            let (labels, labeled) =
+                reference_label_pass(&ctx, (&quality, &featurized), &mut old, budget);
+
+            prop_assert_eq!(&new.asked, &old.asked, "anchors, then probes");
+            let got_labeled: Vec<(usize, CellId, bool)> =
+                got.labeled_folds.iter().map(|lf| (lf.fold, lf.anchor, lf.verdict)).collect();
+            prop_assert_eq!(got_labeled, labeled);
+            prop_assert_eq!(&got.labels, &labels);
+            prop_assert_eq!(got.labels_used, old.asked.len());
+        }
     }
 }

@@ -15,7 +15,6 @@
 //! artifact) and as JSON (for tooling); `matelda-cli --failure-report`
 //! writes both.
 
-use crate::engine::QualityFolds;
 use crate::pipeline::{DetectionResult, RunArtifacts};
 use matelda_obs::json_string;
 use matelda_table::{CellId, CellMask, Lake};
@@ -62,8 +61,8 @@ pub struct CellDiagnosis {
     /// ([`matelda_detect::fired_features`]).
     pub fired: Vec<String>,
     /// Index of the quality fold the cell belongs to (into
-    /// [`QualityFolds::entries`]); `None` when the cell fell outside
-    /// every fold (a zero-budget domain fold).
+    /// [`QualityFolds::entries`](crate::QualityFolds::entries)); `None`
+    /// when the cell fell outside every fold (a zero-budget domain fold).
     pub quality_fold: Option<usize>,
     /// The fold's labeled anchor cell and the verdict the labeler gave
     /// it; `None` when the fold was never labeled (TUCF) or the cell is
@@ -105,8 +104,15 @@ pub fn analyze_failures(
     let quarantined = &result.quarantine.tables;
     let predicted = &result.predicted.without_tables(quarantined);
     let truth = &truth.without_tables(quarantined);
-    let fold_of = fold_membership(&artifacts.quality);
-    let anchor_of = fold_anchors(artifacts);
+    // Cell → quality-fold index, and quality-fold index → (anchor,
+    // verdict) for labeled folds.
+    let fold_of: HashMap<CellId, usize> = artifacts.quality.cells(lake).collect();
+    let anchor_of: HashMap<usize, (CellId, bool)> = artifacts
+        .propagated
+        .labeled_folds
+        .iter()
+        .map(|lf| (lf.fold, (lf.anchor, lf.verdict)))
+        .collect();
 
     let diagnose = |id: CellId, kind: Misclass| -> CellDiagnosis {
         let table = &lake[id.table];
@@ -141,33 +147,6 @@ pub fn analyze_failures(
         exemplars.push(diagnose(id, Misclass::FalsePositive));
     }
     FailureReport { n_false_negatives: fns.len(), n_false_positives: fps.len(), exemplars }
-}
-
-/// Cell → quality-fold-entry index, over every fold's member list.
-fn fold_membership(quality: &QualityFolds) -> HashMap<CellId, usize> {
-    let mut map = HashMap::new();
-    for (i, entry) in quality.entries.iter().enumerate() {
-        for &id in &entry.fold.cells {
-            map.insert(id, i);
-        }
-    }
-    map
-}
-
-/// Quality-fold-entry index → (anchor, verdict) for labeled folds. The
-/// label stage processes labeled entries in entry order, so zipping the
-/// filtered entries with [`crate::engine::PropagatedLabels::labeled_folds`]
-/// recovers the correspondence.
-fn fold_anchors(artifacts: &RunArtifacts) -> HashMap<usize, (CellId, bool)> {
-    artifacts
-        .quality
-        .entries
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.labeled)
-        .zip(&artifacts.propagated.labeled_folds)
-        .map(|((i, _), lf)| (i, (lf.anchor, lf.verdict)))
-        .collect()
 }
 
 impl FailureReport {

@@ -28,7 +28,7 @@ use crate::engine::{
     DomainFolds, FeaturizedLake, LabeledFold, Predictions, PropagatedLabels, QualityFoldEntry,
     QualityFolds, QuarantineReport,
 };
-use crate::quality_fold::QualityFold;
+use crate::quality_fold::{FoldMembership, QualityFold};
 use matelda_detect::CellFeatures;
 use matelda_exec::{ItemFault, StageReport};
 use matelda_table::wire::{DecodeError, Reader, Writer};
@@ -184,23 +184,6 @@ fn decode_cell_id(r: &mut Reader<'_>) -> Result<CellId, DecodeError> {
     Ok(CellId::new(table, row, col))
 }
 
-fn encode_quality_fold(fold: &QualityFold, w: &mut Writer) {
-    w.write_varint(fold.cells.len() as u64);
-    for &id in &fold.cells {
-        encode_cell_id(id, w);
-    }
-    w.write_f32s(&fold.centroid);
-}
-
-fn decode_quality_fold(r: &mut Reader<'_>) -> Result<QualityFold, DecodeError> {
-    let mut cells = Vec::new();
-    for _ in 0..r.read_varint_len()? {
-        cells.push(decode_cell_id(r)?);
-    }
-    let centroid = r.read_f32s()?;
-    Ok(QualityFold { cells, centroid })
-}
-
 // ---------------------------------------------------------------------
 // Artifacts
 // ---------------------------------------------------------------------
@@ -300,33 +283,72 @@ impl ArtifactCodec for DomainFolds {
     }
 }
 
+/// Quality folds are stored domain fold by domain fold: its budget, its
+/// quality folds (centroid, labeled), then its membership — the columns
+/// and one varint per cell, the cell's quality fold among the domain
+/// fold's. Decoding accepts only a membership the label stage can use:
+/// every index names one of the domain fold's quality folds, and every
+/// quality fold has a member.
 impl ArtifactCodec for QualityFolds {
     fn encode_into(&self, w: &mut Writer) {
-        w.write_varint(self.entries.len() as u64);
-        for e in &self.entries {
-            w.write_varint(e.domain_fold as u64);
-            encode_quality_fold(&e.fold, w);
-            w.write_bool(e.labeled);
-        }
+        debug_assert_eq!(self.budgets.len(), self.members.len(), "one membership per domain fold");
         w.write_varint(self.budgets.len() as u64);
-        for &b in &self.budgets {
-            w.write_varint(b as u64);
+        for (fi, (&budget, membership)) in self.budgets.iter().zip(&self.members).enumerate() {
+            w.write_varint(budget as u64);
+            let entries = self.entries_of(fi);
+            w.write_varint(entries.len() as u64);
+            for e in entries {
+                w.write_f32s(&e.fold.centroid);
+                w.write_bool(e.labeled);
+            }
+            w.write_varint(membership.columns.len() as u64);
+            for &(t, c) in &membership.columns {
+                w.write_varint(t as u64);
+                w.write_varint(c as u64);
+            }
+            w.write_varint(membership.index.len() as u64);
+            for &q in &membership.index {
+                w.write_varint(u64::from(q));
+            }
         }
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let mut entries = Vec::new();
-        for _ in 0..r.read_varint_len()? {
-            let domain_fold = r.read_varint()? as usize;
-            let fold = decode_quality_fold(r)?;
-            let labeled = r.read_bool()?;
-            entries.push(QualityFoldEntry { domain_fold, fold, labeled });
-        }
-        let mut budgets = Vec::new();
-        for _ in 0..r.read_varint_len()? {
+        let (mut entries, mut budgets, mut members) = (Vec::new(), Vec::new(), Vec::new());
+        for domain_fold in 0..r.read_varint_len()? {
             budgets.push(r.read_varint()? as usize);
+            let n_folds = r.read_varint_len()?;
+            for _ in 0..n_folds {
+                let fold = QualityFold { centroid: r.read_f32s()? };
+                entries.push(QualityFoldEntry { domain_fold, fold, labeled: r.read_bool()? });
+            }
+            let mut columns = Vec::new();
+            for _ in 0..r.read_varint_len()? {
+                let t = r.read_varint()? as usize;
+                let c = r.read_varint()? as usize;
+                columns.push((t, c));
+            }
+            let n_cells = r.read_varint_len()?;
+            let mut index = Vec::with_capacity(n_cells);
+            for _ in 0..n_cells {
+                let q = r.read_varint()?;
+                let q =
+                    u32::try_from(q).ok().filter(|&q| (q as usize) < n_folds).ok_or_else(|| {
+                        DecodeError::Malformed(format!(
+                            "domain fold {domain_fold}: quality fold {q} of {n_folds}"
+                        ))
+                    })?;
+                index.push(q);
+            }
+            let membership = FoldMembership { columns, index };
+            if let Some(q) = membership.sizes(n_folds).iter().position(|&n| n == 0) {
+                return Err(DecodeError::Malformed(format!(
+                    "domain fold {domain_fold}: quality fold {q} has no member"
+                )));
+            }
+            members.push(membership);
         }
-        Ok(QualityFolds { entries, budgets })
+        Ok(QualityFolds { entries, budgets, members })
     }
 }
 
@@ -346,7 +368,7 @@ impl ArtifactCodec for PropagatedLabels {
         }
         w.write_varint(self.labeled_folds.len() as u64);
         for lf in &self.labeled_folds {
-            encode_quality_fold(&lf.fold, w);
+            w.write_varint(lf.fold as u64);
             encode_cell_id(lf.anchor, w);
             w.write_bool(lf.verdict);
         }
@@ -368,9 +390,13 @@ impl ArtifactCodec for PropagatedLabels {
             }
             labels.push(table);
         }
-        let mut labeled_folds = Vec::new();
+        let mut labeled_folds: Vec<LabeledFold> = Vec::new();
         for _ in 0..r.read_varint_len()? {
-            let fold = decode_quality_fold(r)?;
+            let fold = r.read_varint()? as usize;
+            // The label stage labels quality folds in entry order.
+            if labeled_folds.last().is_some_and(|prev| prev.fold >= fold) {
+                return Err(DecodeError::Malformed(format!("labeled fold {fold} out of order")));
+            }
             let anchor = decode_cell_id(r)?;
             let verdict = r.read_bool()?;
             labeled_folds.push(LabeledFold { fold, anchor, verdict });
@@ -524,39 +550,124 @@ mod tests {
         assert_eq!(snapshot[1..], spill[8..]);
     }
 
+    fn quality_folds() -> QualityFolds {
+        let entry = |domain_fold, centroid: &[f32], labeled| QualityFoldEntry {
+            domain_fold,
+            fold: QualityFold { centroid: centroid.to_vec() },
+            labeled,
+        };
+        QualityFolds {
+            entries: vec![entry(1, &[0.25, 0.75], true), entry(1, &[f32::NAN, 1.0], false)],
+            budgets: vec![0, 3],
+            members: vec![
+                FoldMembership::default(),
+                FoldMembership { columns: vec![(0, 1), (2, 0)], index: vec![1, 0, 0, 1] },
+            ],
+        }
+    }
+
     #[test]
     fn quality_and_domain_folds_round_trip() {
         round_trip(&DomainFolds { folds: vec![Fold { columns: vec![(0, 0), (2, 1)] }] });
-        let q = QualityFolds {
-            entries: vec![QualityFoldEntry {
-                domain_fold: 1,
-                fold: QualityFold {
-                    cells: vec![CellId::new(0, 1, 1), CellId::new(2, 0, 0)],
-                    centroid: vec![0.25, 0.75],
-                },
-                labeled: true,
-            }],
-            budgets: vec![0, 3],
-        };
-        let (st, got) = round_trip(&q);
+        let (st, got) = round_trip(&quality_folds());
         assert_eq!(got.budgets, vec![0, 3]);
+        assert_eq!(got.members, quality_folds().members);
+        assert_eq!(got.entries.iter().map(|e| e.domain_fold).collect::<Vec<_>>(), vec![1, 1]);
         assert_eq!(st.quarantine.tables, vec![1, 3]);
+    }
+
+    /// The per-cell index is one varint per cell, local to its domain
+    /// fold: the quality-fold artifact holds no cell id.
+    #[test]
+    fn quality_fold_membership_is_one_byte_per_cell() {
+        let mut q = quality_folds();
+        let size = |q: &QualityFolds| {
+            let mut w = Writer::new();
+            q.encode_into(&mut w);
+            w.into_bytes().len()
+        };
+        let before = size(&q);
+        q.members[1].index.extend([0, 1, 1, 0]);
+        assert_eq!(size(&q), before + 4);
+    }
+
+    /// Decodes the artifact after `edit` rewrote the membership of the
+    /// test artifact's second domain fold.
+    fn decode_edited(edit: impl FnOnce(&mut FoldMembership)) -> Result<QualityFolds, DecodeError> {
+        let mut q = quality_folds();
+        edit(&mut q.members[1]);
+        let mut w = Writer::new();
+        q.encode_into(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        QualityFolds::decode_from(&mut r).and_then(|q| r.finish().map(|()| q))
+    }
+
+    #[test]
+    fn a_cell_indexed_past_its_domain_folds_quality_folds_is_rejected() {
+        assert!(decode_edited(|_| ()).is_ok());
+        for bad in [2, u32::MAX] {
+            let got = decode_edited(|m| m.index[2] = bad);
+            assert!(
+                matches!(got, Err(DecodeError::Malformed(ref m)) if m.contains("of 2")),
+                "{got:?}"
+            );
+        }
+        // A zero-budget domain fold formed no quality fold, so any index
+        // there is out of range.
+        let mut q = quality_folds();
+        q.members[0].index.push(0);
+        let mut w = Writer::new();
+        q.encode_into(&mut w);
+        let got = QualityFolds::decode_from(&mut Reader::new(&w.into_bytes()));
+        assert!(matches!(got, Err(DecodeError::Malformed(ref m)) if m.contains("of 0")), "{got:?}");
+    }
+
+    #[test]
+    fn a_quality_fold_without_a_member_is_rejected() {
+        let got = decode_edited(|m| m.index = vec![0, 0, 0, 0]);
+        assert!(
+            matches!(got, Err(DecodeError::Malformed(ref m)) if m.contains("no member")),
+            "{got:?}"
+        );
+        let got = decode_edited(|m| m.index.clear());
+        assert!(
+            matches!(got, Err(DecodeError::Malformed(ref m)) if m.contains("no member")),
+            "{got:?}"
+        );
+    }
+
+    fn propagated_labels() -> PropagatedLabels {
+        PropagatedLabels {
+            labels: vec![vec![None, Some(true), Some(false)], vec![]],
+            labeled_folds: vec![
+                LabeledFold { fold: 0, anchor: CellId::new(0, 0, 1), verdict: true },
+                LabeledFold { fold: 2, anchor: CellId::new(0, 0, 2), verdict: false },
+            ],
+            labels_used: 4,
+        }
     }
 
     #[test]
     fn propagated_labels_round_trip() {
-        let p = PropagatedLabels {
-            labels: vec![vec![None, Some(true), Some(false)], vec![]],
-            labeled_folds: vec![LabeledFold {
-                fold: QualityFold { cells: vec![CellId::new(0, 0, 1)], centroid: vec![1.0] },
-                anchor: CellId::new(0, 0, 1),
-                verdict: true,
-            }],
-            labels_used: 4,
-        };
-        let (_, got) = round_trip(&p);
+        let (_, got) = round_trip(&propagated_labels());
         assert_eq!(got.labels[0], vec![None, Some(true), Some(false)]);
+        assert_eq!(got.labeled_folds, propagated_labels().labeled_folds);
         assert_eq!(got.labels_used, 4);
+    }
+
+    #[test]
+    fn labeled_folds_out_of_entry_order_are_rejected() {
+        for folds in [[2, 0], [2, 2]] {
+            let mut p = propagated_labels();
+            p.labeled_folds[0].fold = folds[0];
+            p.labeled_folds[1].fold = folds[1];
+            let bytes = encode_snapshot(&state(), &p);
+            let got = decode_snapshot::<PropagatedLabels>(&bytes);
+            assert!(
+                matches!(got, Err(DecodeError::Malformed(ref m)) if m.contains("out of order"))
+            );
+        }
     }
 
     #[test]

@@ -407,6 +407,131 @@ proptest! {
     }
 
     #[test]
+    fn quality_fold_snapshots_round_trip_and_decode_only_consistent_bytes(
+        domain_folds in proptest::collection::vec(
+            (
+                (0usize..4, 0usize..4),
+                (0usize..4, 0usize..3),
+                proptest::collection::vec(0usize..4, 0..10),
+            ),
+            0..4,
+        ),
+        picks in proptest::collection::vec(0usize..5, 16),
+    ) {
+        use matelda::core::quality_fold::{FoldMembership, QualityFold};
+        use matelda::core::{
+            decode_snapshot, encode_snapshot, CtxState, QualityFoldEntry, QualityFolds,
+        };
+        // Centroids from a palette holding -0.0 and a NaN payload; each
+        // domain fold's index names every one of its quality folds at
+        // least once, and a domain fold without quality folds has none.
+        const PALETTE: [u32; 5] = [0, 0x3F80_0000, 0x8000_0000, 0x7FC0_0042, 0x3F00_0000];
+        let mut quality =
+            QualityFolds { entries: Vec::new(), budgets: Vec::new(), members: Vec::new() };
+        for (fi, ((budget, n_folds), (n_cols, dim), extra)) in domain_folds.iter().enumerate() {
+            for q in 0..*n_folds {
+                let centroid =
+                    (0..*dim).map(|d| f32::from_bits(PALETTE[picks[(q + d) % 16] % 5])).collect();
+                let fold = QualityFold { centroid };
+                let labeled = picks[(fi + q) % 16] % 2 == 0;
+                quality.entries.push(QualityFoldEntry { domain_fold: fi, fold, labeled });
+            }
+            let index = if *n_folds == 0 {
+                Vec::new()
+            } else {
+                (0..*n_folds).chain(extra.iter().map(|&q| q % n_folds)).map(|q| q as u32).collect()
+            };
+            let columns = (0..*n_cols).map(|c| (fi, c)).collect();
+            quality.budgets.push(*budget);
+            quality.members.push(FoldMembership { columns, index });
+        }
+        let bytes = encode_snapshot(&CtxState::default(), &quality);
+        let (state, back) = decode_snapshot::<QualityFolds>(&bytes).expect("own encoding decodes");
+        prop_assert_eq!(encode_snapshot(&state, &back), bytes.clone());
+        prop_assert_eq!(&back.members, &quality.members);
+        prop_assert_eq!(&back.budgets, &quality.budgets);
+        let shape = |q: &QualityFolds| -> Vec<(usize, bool, Vec<u32>)> {
+            q.entries
+                .iter()
+                .map(|e| {
+                    let bits = e.fold.centroid.iter().map(|v| v.to_bits()).collect();
+                    (e.domain_fold, e.labeled, bits)
+                })
+                .collect()
+        };
+        prop_assert_eq!(shape(&back), shape(&quality));
+        // Every strict prefix (a torn write) fails to decode.
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_snapshot::<QualityFolds>(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        // Every byte overwritten with a small value (so an index or a
+        // count often stays in range): whatever decodes re-encodes to
+        // exactly itself, and its membership is one the label stage can
+        // use — each index names one of its domain fold's quality folds,
+        // and each quality fold has a member.
+        for i in 0..bytes.len() * 4 {
+            let mut candidate = bytes.clone();
+            candidate[i / 4] = (i % 4) as u8;
+            if let Ok((state, artifact)) = decode_snapshot::<QualityFolds>(&candidate) {
+                prop_assert_eq!(encode_snapshot(&state, &artifact), candidate);
+                prop_assert_eq!(artifact.members.len(), artifact.budgets.len());
+                for (fi, m) in artifact.members.iter().enumerate() {
+                    let n_folds = artifact.entries_of(fi).len();
+                    prop_assert!(m.index.iter().all(|&q| (q as usize) < n_folds));
+                    prop_assert!(m.sizes(n_folds).iter().all(|&n| n > 0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn propagated_label_snapshots_round_trip_and_decode_only_consistent_bytes(
+        tables in proptest::collection::vec(proptest::collection::vec(0usize..3, 0..8), 0..3),
+        folds in proptest::collection::vec(
+            ((0usize..3, 0usize..2), (0usize..4, 0usize..6, 0usize..3)),
+            0..5,
+        ),
+        labels_used in 0usize..300,
+    ) {
+        use matelda::core::{
+            decode_snapshot, encode_snapshot, CtxState, LabeledFold, PropagatedLabels,
+        };
+        let labels = tables
+            .iter()
+            .map(|t| t.iter().map(|&l| [None, Some(false), Some(true)][l]).collect())
+            .collect();
+        // Labeled folds name their quality folds in entry order.
+        let mut fold = 0;
+        let labeled_folds = folds
+            .iter()
+            .map(|&((gap, verdict), (t, r, c))| {
+                fold += gap + 1;
+                LabeledFold { fold: fold - 1, anchor: CellId::new(t, r, c), verdict: verdict == 1 }
+            })
+            .collect();
+        let artifact = PropagatedLabels { labels, labeled_folds, labels_used };
+        let bytes = encode_snapshot(&CtxState::default(), &artifact);
+        let (state, back) =
+            decode_snapshot::<PropagatedLabels>(&bytes).expect("own encoding decodes");
+        prop_assert_eq!(encode_snapshot(&state, &back), bytes.clone());
+        prop_assert_eq!(&back.labels, &artifact.labels);
+        prop_assert_eq!(&back.labeled_folds, &artifact.labeled_folds);
+        prop_assert_eq!(back.labels_used, labels_used);
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_snapshot::<PropagatedLabels>(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        for i in 0..bytes.len() * 4 {
+            let mut candidate = bytes.clone();
+            candidate[i / 4] = (i % 4) as u8;
+            if let Ok((state, artifact)) = decode_snapshot::<PropagatedLabels>(&candidate) {
+                prop_assert_eq!(encode_snapshot(&state, &artifact), candidate);
+                let order: Vec<usize> = artifact.labeled_folds.iter().map(|lf| lf.fold).collect();
+                prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "entry order {order:?}");
+            }
+        }
+    }
+
+    #[test]
     fn snapshot_decode_of_arbitrary_bytes_is_an_error_never_a_panic(
         bytes in proptest::collection::vec((0usize..256).prop_map(|b| b as u8), 0..256),
     ) {
@@ -430,7 +555,7 @@ proptest! {
 // domain fold must *partition* its cells — every cell in exactly one
 // quality fold — for any k / batch size / iteration count, and the
 // centroid-nearest sample must not depend on the order the member cells
-// were inserted in.
+// are scanned in.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -470,18 +595,22 @@ proptest! {
         let fold = Fold { columns: (0..cols).map(|c| (0, c)).collect() };
 
         let kmeans = MiniBatchKMeansConfig { k, batch_size, iterations, seed };
-        let qf = quality_folds(&lake, &fold, &features, kmeans, &Obs::disabled());
+        let (qf, members) = quality_folds(&lake, &fold, &features, kmeans, &Obs::disabled());
         prop_assert!(!qf.is_empty());
         prop_assert!(qf.len() <= k.max(1));
-        prop_assert!(qf.iter().all(|q| !q.cells.is_empty()), "no empty folds survive");
-        // Exact partition: the union of the folds' members is the fold's
-        // cell set, each cell exactly once.
-        let mut got: Vec<CellId> = qf.iter().flat_map(|q| q.cells.iter().copied()).collect();
-        got.sort_unstable();
-        let mut want: Vec<CellId> = (0..rows)
-            .flat_map(|r| (0..cols).map(move |c| CellId::new(0, r, c)))
+        prop_assert_eq!(&members.columns, &fold.columns);
+        prop_assert!(members.sizes(qf.len()).iter().all(|&n| n > 0), "no empty folds survive");
+        // Exact partition: the membership names one quality fold for each
+        // of the fold's cells, each cell exactly once, in fold order
+        // (columns in fold order, rows ascending).
+        let mut got = Vec::new();
+        for (id, q) in members.cells(&lake) {
+            prop_assert!(q < qf.len(), "{id:?} in fold {q} of {}", qf.len());
+            got.push(id);
+        }
+        let want: Vec<CellId> = (0..cols)
+            .flat_map(|c| (0..rows).map(move |r| CellId::new(0, r, c)))
             .collect();
-        want.sort_unstable();
         prop_assert_eq!(got, want);
     }
 
@@ -491,7 +620,7 @@ proptest! {
         perm_seed in 0u64..1000,
         n_distinct in 1usize..5,
     ) {
-        use matelda::core::quality_fold::QualityFold;
+        use matelda::core::quality_fold::nearest_members;
 
         // Each cell gets one of a few shared feature vectors, so ties —
         // several members equidistant from the centroid — are common by
@@ -503,9 +632,11 @@ proptest! {
 
         let cells: Vec<CellId> =
             (0..n).map(|i| CellId::new(i % 2, i / 3, i % 5)).collect();
-        let centroid = vec![0.6, 0.4];
-        let fold = QualityFold { cells: cells.clone(), centroid: centroid.clone() };
-        let picked = fold.sample(&get);
+        let centroid = [0.6f32, 0.4];
+        let nearest = |cells: &[CellId]| {
+            nearest_members(cells.iter().map(|&id| (id, 0)), &[Some(&centroid[..])], get)[0]
+        };
+        let picked = nearest(&cells);
 
         // The winner is the min-distance member, ties to the smallest id
         // — computed independently here, order-free.
@@ -519,10 +650,10 @@ proptest! {
                 dist(**a).partial_cmp(&dist(**b)).unwrap().then(a.cmp(b))
             })
             .expect("non-empty");
-        prop_assert_eq!(picked, expected);
+        prop_assert_eq!(picked, Some(expected));
 
-        // Fisher–Yates with a seed-derived LCG: any insertion order of
-        // the same member set yields the same sample.
+        // Fisher–Yates with a seed-derived LCG: any order the members
+        // are scanned in yields the same sample.
         let mut shuffled = cells.clone();
         let mut state = perm_seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         for i in (1..shuffled.len()).rev() {
@@ -530,8 +661,7 @@ proptest! {
             let j = (state >> 33) as usize % (i + 1);
             shuffled.swap(i, j);
         }
-        let reordered = QualityFold { cells: shuffled, centroid };
-        prop_assert_eq!(reordered.sample(&get), picked);
+        prop_assert_eq!(nearest(&shuffled), picked);
     }
 }
 
