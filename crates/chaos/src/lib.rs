@@ -38,6 +38,7 @@
 //! lake; a run killed at any checkpoint boundary resumes bit-identically
 //! to an uninterrupted one — at any thread count.
 
+use matelda_table::fingerprint::Fnv1a;
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
@@ -45,7 +46,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 pub use matelda_ckpt::{CrashDirective, CrashMode, CRASH_ENV};
-pub use matelda_ckpt::{FaultInjector, FaultKind, InjectAt, IoOp, Vfs};
+pub use matelda_ckpt::{FaultKind, InjectAt, IoOp, Vfs};
 pub use matelda_exec::faultpoint;
 
 /// The errno-level storage faults an I/O plan can inject — the hostile
@@ -271,14 +272,12 @@ pub fn corrupt_bytes(bytes: &[u8], kind: Corruption, rng: &mut StdRng) -> Vec<u8
     }
 }
 
-/// FNV-1a over a string, used to derive per-domain seeds.
+/// FNV-1a over a string's bytes (no length prefix), used to derive
+/// per-domain seeds.
 fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write_bytes(s.as_bytes());
+    h.finish()
 }
 
 #[cfg(test)]
@@ -290,6 +289,7 @@ mod tests {
         let plan = FaultPlan::new(42);
         let v = plan.victims("embed", 10, 3);
         assert_eq!(v, FaultPlan::new(42).victims("embed", 10, 3));
+        assert_eq!(v, [3, 8, 9], "the victims recorded before the seed hash moved to Fnv1a");
         assert_eq!(v.len(), 3);
         let mut d = v.clone();
         d.dedup();

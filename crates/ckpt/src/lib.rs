@@ -45,6 +45,4 @@ pub use store::{
     decode_envelope, encode_envelope, CheckpointStore, CkptError, CrashDirective, CrashMode,
     CRASH_ENV,
 };
-pub use vfs::{
-    dir_bytes, AtomicCommit, FaultInjector, FaultKind, InjectAt, IoOp, Vfs, TRANSIENT_RETRIES,
-};
+pub use vfs::{dir_bytes, AtomicCommit, FaultKind, InjectAt, IoOp, Vfs, TRANSIENT_RETRIES};

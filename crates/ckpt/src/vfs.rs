@@ -7,9 +7,9 @@
 //! write, rename, remove, directory listing/creation — with three
 //! orthogonal capabilities layered behind one `Option` branch:
 //!
-//! * **Fault injection.** A [`FaultInjector`] sees every operation
-//!   (globally numbered, typed by [`IoOp`]) before it executes and may
-//!   answer with a [`FaultKind`]: a plain errno (`ENOSPC`, `EIO`, …), a
+//! * **Fault injection.** An [`InjectAt`] sees every operation
+//!   (globally numbered, typed by [`IoOp`]) before it executes and
+//!   answers the one it is armed for with a [`FaultKind`]: a plain errno (`ENOSPC`, `EIO`, …), a
 //!   short write (half the bytes land, then the error), or a torn
 //!   rename (a prefix of the payload appears under the *final* name —
 //!   the fault class the commit protocol cannot prevent and the
@@ -33,7 +33,6 @@
 //! all and compiles down to the direct `std::fs` calls plus one
 //! discriminant check.
 
-use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -43,7 +42,8 @@ use std::sync::Arc;
 /// How many times a transient errno is retried before it surfaces.
 pub const TRANSIENT_RETRIES: u32 = 3;
 
-/// The operation classes a [`FaultInjector`] can see (and fault).
+/// The operation classes the injection gate numbers (and can fault);
+/// fault messages name them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoOp {
     /// Creating/opening a file for writing (the tmp file of a commit).
@@ -110,17 +110,11 @@ impl FaultKind {
     }
 }
 
-/// Decides, for each numbered operation, whether to inject a fault.
+/// Faults exactly one operation index.
 ///
-/// `n` is the handle's global 0-based operation index — stable for a
-/// deterministic workload, which is what lets the fault-matrix audit
+/// Operations are numbered per handle, globally and from 0 — stable for
+/// a deterministic workload, which is what lets the fault-matrix audit
 /// enumerate sites by first counting a clean run's operations.
-pub trait FaultInjector: Send + Sync + fmt::Debug {
-    /// `Some(fault)` makes operation `n` fail as described.
-    fn inject(&self, n: u64, op: IoOp, path: &Path) -> Option<FaultKind>;
-}
-
-/// A [`FaultInjector`] that faults exactly one operation index.
 #[derive(Debug)]
 pub struct InjectAt {
     /// The operation index to fault.
@@ -142,10 +136,9 @@ impl InjectAt {
     pub fn fired(&self) -> u64 {
         self.fired.load(Ordering::Relaxed)
     }
-}
 
-impl FaultInjector for InjectAt {
-    fn inject(&self, n: u64, _op: IoOp, _path: &Path) -> Option<FaultKind> {
+    /// `Some(fault)` makes operation `n` fail as described.
+    fn inject(&self, n: u64) -> Option<FaultKind> {
         if n == self.at {
             self.fired.fetch_add(1, Ordering::Relaxed);
             Some(self.kind)
@@ -165,7 +158,7 @@ struct Budget {
 #[derive(Debug, Default)]
 struct Instrumented {
     ops: AtomicU64,
-    injector: Option<Arc<dyn FaultInjector>>,
+    injector: Option<Arc<InjectAt>>,
     budget: Option<Budget>,
 }
 
@@ -192,7 +185,7 @@ impl Vfs {
     }
 
     /// A handle that consults `injector` before every operation.
-    pub fn with_injector(injector: Arc<dyn FaultInjector>) -> Vfs {
+    pub fn with_injector(injector: Arc<InjectAt>) -> Vfs {
         Vfs {
             inner: Some(Arc::new(Instrumented {
                 ops: AtomicU64::new(0),
@@ -277,14 +270,14 @@ impl Vfs {
 
     /// The injection gate: numbers the operation, asks the injector.
     /// Returns the fault to apply, if any.
-    fn gate(&self, op: IoOp, path: &Path) -> Option<FaultKind> {
+    fn gate(&self) -> Option<FaultKind> {
         let inner = self.inner.as_ref()?;
         let n = inner.ops.fetch_add(1, Ordering::Relaxed);
-        inner.injector.as_ref()?.inject(n, op, path)
+        inner.injector.as_ref()?.inject(n)
     }
 
     fn gate_errno(&self, op: IoOp, path: &Path) -> io::Result<()> {
-        match self.gate(op, path) {
+        match self.gate() {
             Some(fault) => Err(io::Error::new(
                 fault.errno(),
                 format!("injected {:?} at {} {}", fault, op.name(), path.display()),
@@ -397,7 +390,7 @@ impl Vfs {
         let commit = (|| -> io::Result<bool> {
             self.gate_errno(IoOp::Open, &tmp)?;
             let mut f = File::create(&tmp)?;
-            match self.gate(IoOp::Write, &tmp) {
+            match self.gate() {
                 Some(FaultKind::ShortWrite) => {
                     // Half the payload lands, then the error — the torn
                     // state a real short write leaves in the tmp file.
@@ -418,7 +411,7 @@ impl Vfs {
             self.gate_errno(IoOp::Sync, &tmp)?;
             f.sync_all()?;
             drop(f);
-            match self.gate(IoOp::Rename, path) {
+            match self.gate() {
                 Some(FaultKind::TornRename) => {
                     // The fault class atomic commit cannot rule out: a
                     // prefix of the payload appears under the final
@@ -446,8 +439,7 @@ impl Vfs {
             // the caller gets the outcome and can count it.
             let dir_synced = match path.parent() {
                 Some(parent) => {
-                    self.gate(IoOp::DirSync, parent).is_none()
-                        && File::open(parent).and_then(|d| d.sync_all()).is_ok()
+                    self.gate().is_none() && File::open(parent).and_then(|d| d.sync_all()).is_ok()
                 }
                 None => false,
             };

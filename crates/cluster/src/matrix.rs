@@ -175,7 +175,7 @@ pub fn nearest_centers(points: &PointMatrix, rows: &[usize], centers: &[Vec<f32>
 
 /// Row-block size of the parallel pairwise build: big enough that a
 /// block's upper-triangle work dwarfs its merge cost, small enough that
-/// the executor's range stealing can rebalance the triangle's skew
+/// the executor's chunked claiming can even out the triangle's skew
 /// (early rows carry `n − i − 1` pairs, late rows almost none).
 const PAIRWISE_ROW_BLOCK: usize = 32;
 

@@ -78,8 +78,7 @@ impl From<ChunkedError> for OutOfCoreError {
     }
 }
 
-/// What one out-of-core run produced, plus the streaming bookkeeping
-/// the scale bench asserts on.
+/// What one out-of-core run produced.
 #[derive(Debug)]
 pub struct OutOfCoreRun {
     /// The detection result — bit-identical (same
@@ -89,12 +88,6 @@ pub struct OutOfCoreRun {
     /// The streamed lake fingerprint; equals `lake_fingerprint` of the
     /// materialized lake.
     pub fingerprint: u64,
-    /// Feature spill files written (one per table not quarantined).
-    pub spill_count: usize,
-    /// Total cells streamed through featurization.
-    pub cells: usize,
-    /// On-disk size of the columnar lake in bytes.
-    pub lake_bytes: u64,
 }
 
 impl Matelda {
@@ -137,10 +130,6 @@ impl Matelda {
         }
 
         let paths = columnar_paths_sorted(src, dir).map_err(ChunkedError::Io)?;
-        let mut lake_bytes = 0u64;
-        for p in &paths {
-            lake_bytes += src.file_len(p).map_err(ChunkedError::Io)?;
-        }
         let skeleton = skeleton_lake(src, dir)?;
         let fingerprint = columnar_lake_fingerprint(src, dir, opts.chunk_len)?;
 
@@ -157,9 +146,7 @@ impl Matelda {
                 RunError::Storage(e) => OutOfCoreError::Storage(e),
                 RunError::Ckpt(e) => unreachable!("an out-of-core run has no checkpoint sink: {e}"),
             })?;
-        // Every table that was not quarantined was featurized and spilled.
-        let spill_count = skeleton.n_tables() - result.quarantine.tables.len();
-        Ok(OutOfCoreRun { result, fingerprint, spill_count, cells: skeleton.n_cells(), lake_bytes })
+        Ok(OutOfCoreRun { result, fingerprint })
     }
 }
 
@@ -230,9 +217,6 @@ mod tests {
                 );
                 assert_eq!(run.result.predicted, reference.predicted);
                 assert_eq!(run.fingerprint, lake_fingerprint(&lake));
-                assert_eq!(run.spill_count, lake.n_tables());
-                assert_eq!(run.cells, lake.n_cells());
-                assert!(run.lake_bytes > 0);
             }
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");

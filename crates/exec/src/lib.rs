@@ -2,15 +2,15 @@
 //!
 //! The deterministic parallel substrate of the staged pipeline engine:
 //!
-//! * [`Pool`] — a persistent work-stealing thread pool. Workers are
-//!   spawned lazily on the first parallel map and live for the pool's
-//!   lifetime (one pool per pipeline run), so per-map cost is a condvar
-//!   wake instead of a thread spawn/join. Built on `std` only, per the
+//! * [`Executor`] — an ordered map over an index space, scheduled on a
+//!   persistent thread pool private to this crate. Workers are spawned
+//!   lazily on the first parallel map and live for the pool's lifetime
+//!   (one pool per pipeline run), so per-map cost is a condvar wake
+//!   instead of a thread spawn/join. Participants claim contiguous chunks
+//!   of the index space from one shared cursor, one `fetch_add` per
+//!   chunk, but results are always merged **in index order**, so output
+//!   is bit-identical at any thread count. Built on `std` only, per the
 //!   workspace crate policy.
-//! * [`Executor`] — an ordered map over an index space, scheduled on the
-//!   pool. Work is claimed dynamically (chunked per-participant range
-//!   deques with stealing) for balance, but results are always merged
-//!   **in index order**, so output is bit-identical at any thread count.
 //! * [`Executor::try_map_n`] — the one fault-isolated map (with
 //!   [`Executor::try_map`] its slice form): each work item runs under
 //!   `catch_unwind` and an optional stage [`Deadline`], a panic becomes
@@ -25,9 +25,8 @@
 
 mod pool;
 
-pub use pool::{Pool, WEDGE_FAULTPOINT};
-
 use matelda_obs::{json_string, Buckets, Obs, Stopwatch};
+use pool::{Claims, Pool};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -99,7 +98,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A deterministic parallel executor over a persistent [`Pool`].
+/// A deterministic parallel executor over a persistent thread pool.
 ///
 /// The contract: `map_n(n, f)` returns `[f(0), f(1), …, f(n-1)]` — the
 /// same vector at every thread count. `f` runs concurrently across
@@ -174,16 +173,16 @@ impl Executor {
         &self.obs
     }
 
-    /// Bounds how long dropping the underlying [`Pool`] waits for worker
-    /// threads to exit before detaching stragglers (see
-    /// [`Pool::set_join_deadline`]). Shared across all clones of this
-    /// executor — the pool is the unit of shutdown, not the clone.
+    /// Bounds how long dropping the underlying pool waits for worker
+    /// threads to exit before detaching stragglers and reporting them as
+    /// leaks (2 s unless set). Shared across all clones of this executor —
+    /// the pool is the unit of shutdown, not the clone.
     pub fn with_join_deadline(self, deadline: Duration) -> Self {
         self.pool.set_join_deadline(deadline);
         self
     }
 
-    /// Attaches a telemetry handle to the underlying [`Pool`] for
+    /// Attaches a telemetry handle to the underlying pool for
     /// shutdown leak reports (`pool.leak` events,
     /// `exec.pool.leaked_workers` counter). Deliberately separate from
     /// [`Executor::with_obs`]: per-run handles come and go with each
@@ -208,9 +207,9 @@ impl Executor {
         if self.runs_inline(n) {
             return (0..n).map(f).collect();
         }
-        self.scatter_gather(n, |pid, ranges| {
+        self.scatter_gather(n, |_, claims| {
             let mut mine = Vec::new();
-            while let Some((range, _stolen)) = ranges.claim(pid) {
+            while let Some(range) = claims.claim() {
                 mine.extend(range.map(|i| (i, f(i))));
             }
             mine
@@ -282,14 +281,12 @@ impl Executor {
         // One span per map *participation* (workers are persistent, so a
         // span per thread lifetime would smear every stage together):
         // participant `pid` traces on tid lane `pid + 1`, with the items
-        // it claimed, its busy time, and how many chunks it stole.
-        self.scatter_gather(n, |pid, ranges| {
+        // it claimed and its busy time.
+        self.scatter_gather(n, |pid, claims| {
             let mut span = obs.span("exec", stage).with_tid(pid as u64 + 1);
             let mut busy_us = 0.0f64;
-            let mut steals = 0u64;
             let mut mine = Vec::new();
-            while let Some((range, stolen)) = ranges.claim(pid) {
-                steals += u64::from(stolen);
+            while let Some(range) = claims.claim() {
                 for i in range {
                     let (r, us) = timed(i);
                     busy_us += us;
@@ -302,9 +299,6 @@ impl Executor {
             let wall = span.finish_secs();
             if hist.is_some() {
                 obs.counter_add(&format!("exec.worker_items.{stage}.w{pid}"), items as u64);
-                if steals > 0 {
-                    obs.counter_add(&format!("exec.steals.{stage}"), steals);
-                }
                 if wall > 0.0 {
                     obs.gauge_set(
                         &format!("exec.worker_util.{stage}.w{pid}"),
@@ -327,20 +321,20 @@ impl Executor {
         self.try_map_n(stage, items.len(), None, |i| f(i, &items[i]))
     }
 
-    /// The parallel half of every map: `participate(pid, ranges)` runs on
+    /// The parallel half of every map: `participate(pid, claims)` runs on
     /// each of `min(threads, n)` participants, claims index ranges off
-    /// `ranges` until none are left and returns its `(index, result)`
+    /// `claims` until none are left and returns its `(index, result)`
     /// pairs; the pairs are then scattered back into index order.
     fn scatter_gather<R: Send>(
         &self,
         n: usize,
-        participate: impl Fn(usize, &pool::Ranges) -> Vec<(usize, R)> + Sync,
+        participate: impl Fn(usize, &Claims) -> Vec<(usize, R)> + Sync,
     ) -> Vec<R> {
         let participants = self.threads.min(n);
-        let ranges = pool::Ranges::new(n, participants);
+        let claims = Claims::new(n, participants);
         let gathered: Mutex<Vec<Vec<(usize, R)>>> = Mutex::new(Vec::with_capacity(participants));
         self.pool.run(participants, &|pid| {
-            let mine = participate(pid, &ranges);
+            let mine = participate(pid, &claims);
             gathered.lock().unwrap_or_else(PoisonError::into_inner).push(mine);
         });
         let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
@@ -657,10 +651,16 @@ mod tests {
 
     #[test]
     fn map_n_is_ordered_and_complete() {
-        for threads in [1, 2, 4, 7] {
+        // Lengths either side of where the chunk rule steps (n = 16 at two
+        // participants), and 16_385: one past a chunk edge at 2, 4 and 8
+        // participants, and at two a chunk of the full 1024-item cap.
+        for threads in [1, 2, 4, 7, 8] {
             let exec = Executor::new(threads);
-            let out = exec.map_n(100, |i| i * i);
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
+            for n in [0, 1, 15, 16, 17, 100, 16_385] {
+                let out = exec.map_n(n, |i| i * i);
+                let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+                assert_eq!(out, want, "threads={threads} n={n}");
+            }
         }
     }
 

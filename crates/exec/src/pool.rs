@@ -1,4 +1,6 @@
-//! The persistent work-stealing pool behind [`crate::Executor`].
+//! The persistent thread pool behind [`crate::Executor`], and the
+//! cursor every parallel map claims its work from. Both are private to
+//! this crate: the executor is the one scheduling API.
 //!
 //! One [`Pool`] lives for a whole pipeline run (the engine builds one per
 //! run and threads it through every stage via `StageContext`), replacing
@@ -8,13 +10,10 @@
 //! * **Lazy workers.** No thread is spawned at construction; the first
 //!   parallel map spawns `threads − 1` workers (the *caller* is always
 //!   participant 0, so `--threads 1` never starts a pool thread at all).
-//! * **Chunked range deques with stealing.** A map over `0..n` is split
-//!   into one contiguous region per participant. Owners claim chunks from
-//!   the front of their region, thieves from the back of someone else's —
-//!   each claim is a single CAS on a packed `(head, tail)` word, instead
-//!   of one `fetch_add` per item. Scheduling is dynamic; *results are
-//!   not*: the caller merges in index order, so output is bit-identical
-//!   at every thread count.
+//! * **Chunks off one cursor.** A map over `0..n` hands out contiguous
+//!   chunks from one shared [`Claims`] cursor, one `fetch_add` per chunk.
+//!   Scheduling is dynamic; *results are not*: the caller merges in index
+//!   order, so output is bit-identical at every thread count.
 //! * **Fault isolation on long-lived workers.** Work items run under
 //!   `catch_unwind` *inside* the submitted task (see `Executor::try_map`),
 //!   and the pool additionally catches panics that escape a participant's
@@ -50,7 +49,7 @@ use std::time::{Duration, Instant};
 /// id): the armed worker sleeps through shutdown instead of exiting
 /// promptly, modelling a thread stuck in foreign code. Production never
 /// arms it.
-pub const WEDGE_FAULTPOINT: &str = "pool:wedge";
+const WEDGE_FAULTPOINT: &str = "pool:wedge";
 
 /// How long a wedged worker sleeps when [`WEDGE_FAULTPOINT`] is armed —
 /// far beyond any test join deadline, far below anything that would
@@ -133,8 +132,8 @@ struct Shared {
     done: Condvar,
 }
 
-/// A persistent work-stealing thread pool. See the module docs.
-pub struct Pool {
+/// A persistent thread pool. See the module docs.
+pub(crate) struct Pool {
     /// Pool-thread budget: `threads − 1` (participant 0 is the caller).
     workers: usize,
     shared: Arc<Shared>,
@@ -164,7 +163,7 @@ impl std::fmt::Debug for Pool {
 impl Pool {
     /// A pool that will lazily spawn `threads − 1` worker threads. With
     /// `threads <= 1` it never spawns anything.
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         Pool {
             workers: threads.saturating_sub(1),
             shared: Arc::new(Shared {
@@ -189,21 +188,21 @@ impl Pool {
     }
 
     /// Number of pool threads actually started so far.
-    pub fn workers_spawned(&self) -> usize {
+    pub(crate) fn workers_spawned(&self) -> usize {
         self.spawned.load(Ordering::Relaxed)
     }
 
     /// Bounds how long `Drop` waits for workers to exit before detaching
     /// the stragglers and reporting them as leaks. A wedged worker can
     /// delay shutdown by at most this much — it can never hang it.
-    pub fn set_join_deadline(&self, deadline: Duration) {
+    pub(crate) fn set_join_deadline(&self, deadline: Duration) {
         self.join_deadline_ms.store(deadline.as_millis() as u64, Ordering::Relaxed);
     }
 
     /// Attaches the telemetry handle shutdown leak reports go to. The
     /// pool records nothing else — per-map tracing lives on the
     /// `Executor` — so a disabled handle (the default) costs nothing.
-    pub fn attach_obs(&self, obs: &Obs) {
+    pub(crate) fn attach_obs(&self, obs: &Obs) {
         *self.obs.lock().unwrap_or_else(PoisonError::into_inner) = obs.clone();
     }
 
@@ -234,8 +233,12 @@ impl Pool {
     /// (caller's own panic takes precedence); pool workers survive.
     ///
     /// `participants` must be in `2..=threads` (below 2 there is nothing
-    /// to schedule — callers take their inline path instead).
-    pub fn run(&self, participants: usize, task: &(dyn Fn(usize) + Sync)) {
+    /// to schedule — callers take their inline path instead), and `run`
+    /// must not be called from inside a pool task. Only the debug build
+    /// checks this: more participants than threads would wait forever
+    /// for a worker that does not exist. `Executor::scatter_gather`, the
+    /// one caller, guarantees both.
+    pub(crate) fn run(&self, participants: usize, task: &(dyn Fn(usize) + Sync)) {
         debug_assert!(participants >= 2, "single-participant jobs run inline");
         debug_assert!(participants <= self.workers + 1, "participants exceed pool width");
         debug_assert!(!in_pool_task(), "Pool::run is not re-entrant from a pool task");
@@ -384,110 +387,40 @@ fn worker_loop(shared: &Shared, id: usize) {
     }
 }
 
-/// Per-participant chunked range deques over an index space `0..n`.
-///
-/// Each participant owns one contiguous region, packed into an
-/// `AtomicU64` as `(head << 32) | tail`. The owner claims `chunk`-sized
-/// runs from the front ([`Ranges::claim`] pops its own region first);
-/// when its region drains it steals from the *back* of the next
-/// non-empty region. Every index is claimed exactly once, whole chunks
-/// at a time — one CAS per chunk instead of one `fetch_add` per item.
-pub(crate) struct Ranges {
-    regions: Vec<AtomicU64>,
+/// One map's index space `0..n`, handed out in contiguous chunks from a
+/// single shared cursor. Each [`Claims::claim`] is one `fetch_add` of
+/// `chunk`, so the starts it returns are disjoint and every index is
+/// claimed exactly once, whichever participant asks.
+pub(crate) struct Claims {
+    next: AtomicUsize,
+    n: usize,
     chunk: usize,
 }
 
 /// Aiming for ~8 chunks per participant keeps claims coarse while
-/// leaving enough granularity for stealing to rebalance skewed items.
+/// leaving enough of them for fast participants to make up for one
+/// stuck on slow items.
 const CHUNKS_PER_PARTICIPANT: usize = 8;
 
-/// Chunks never exceed this many items, so late-discovered imbalance
-/// (one huge item at the end of a region) stays stealable.
+/// Chunks never exceed this many items, so one claim cannot take a long
+/// run of slow items while the other participants go idle.
 const MAX_CHUNK: usize = 1024;
 
-fn pack(head: usize, tail: usize) -> u64 {
-    ((head as u64) << 32) | tail as u64
-}
-
-fn unpack(word: u64) -> (usize, usize) {
-    ((word >> 32) as usize, (word & 0xFFFF_FFFF) as usize)
-}
-
-impl Ranges {
-    /// Splits `0..n` into `participants` near-equal contiguous regions.
+impl Claims {
+    /// A cursor over `0..n` for `participants` claimers, with chunks of
+    /// `n / (participants × 8)` items, clamped to `1..=MAX_CHUNK`.
     pub(crate) fn new(n: usize, participants: usize) -> Self {
-        debug_assert!(n <= u32::MAX as usize, "index space exceeds packed range width");
         let chunk = (n / (participants * CHUNKS_PER_PARTICIPANT).max(1)).clamp(1, MAX_CHUNK);
-        let per = n / participants;
-        let extra = n % participants;
-        let mut regions = Vec::with_capacity(participants);
-        let mut start = 0usize;
-        for p in 0..participants {
-            let len = per + usize::from(p < extra);
-            regions.push(AtomicU64::new(pack(start, start + len)));
-            start += len;
-        }
-        debug_assert_eq!(start, n);
-        Ranges { regions, chunk }
+        Claims { next: AtomicUsize::new(0), n, chunk }
     }
 
-    /// Claims the next chunk for participant `me`: front of its own
-    /// region, else stolen from the back of another. `None` means the
-    /// whole index space is exhausted (work never re-appears, so one
-    /// failed sweep over all regions is conclusive). The `bool` is
-    /// `true` when the chunk was stolen.
-    pub(crate) fn claim(&self, me: usize) -> Option<(Range<usize>, bool)> {
-        if let Some(range) = Self::pop_front(&self.regions[me], self.chunk) {
-            return Some((range, false));
-        }
-        let parts = self.regions.len();
-        for offset in 1..parts {
-            let victim = (me + offset) % parts;
-            if let Some(range) = Self::pop_back(&self.regions[victim], self.chunk) {
-                return Some((range, true));
-            }
-        }
-        None
-    }
-
-    fn pop_front(region: &AtomicU64, chunk: usize) -> Option<Range<usize>> {
-        let mut word = region.load(Ordering::Acquire);
-        loop {
-            let (head, tail) = unpack(word);
-            if head >= tail {
-                return None;
-            }
-            let new_head = (head + chunk).min(tail);
-            match region.compare_exchange_weak(
-                word,
-                pack(new_head, tail),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(head..new_head),
-                Err(cur) => word = cur,
-            }
-        }
-    }
-
-    fn pop_back(region: &AtomicU64, chunk: usize) -> Option<Range<usize>> {
-        let mut word = region.load(Ordering::Acquire);
-        loop {
-            let (head, tail) = unpack(word);
-            if head >= tail {
-                return None;
-            }
-            let new_tail = tail.saturating_sub(chunk).max(head);
-            match region.compare_exchange_weak(
-                word,
-                pack(head, new_tail),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(new_tail..tail),
-                Err(cur) => word = cur,
-            }
-        }
+    /// The next unclaimed chunk, or `None` once the space is exhausted.
+    /// `Relaxed` suffices: the cursor orders nothing but itself. Results
+    /// travel through `scatter_gather`'s mutex, and `Pool::run`'s join
+    /// barrier orders everything after the map.
+    pub(crate) fn claim(&self) -> Option<Range<usize>> {
+        let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
+        (start < self.n).then(|| start..(start + self.chunk).min(self.n))
     }
 }
 
@@ -498,33 +431,20 @@ mod tests {
     use std::collections::BTreeSet;
 
     #[test]
-    fn ranges_cover_every_index_exactly_once_serially() {
-        for (n, parts) in [(0usize, 2usize), (1, 2), (7, 3), (100, 4), (1025, 2)] {
-            let ranges = Ranges::new(n, parts);
+    fn claims_cover_every_index_exactly_once_serially() {
+        let cases = [(0usize, 2usize), (1, 2), (7, 3), (17, 2), (100, 4), (1025, 2), (16_385, 2)];
+        for (n, parts) in cases {
+            // One caller claims everything: a single participant can drain
+            // the whole space.
+            let claims = Claims::new(n, parts);
             let mut seen = BTreeSet::new();
-            for me in 0..parts {
-                while let Some((range, _)) = ranges.claim(me) {
-                    for i in range {
-                        assert!(seen.insert(i), "index {i} claimed twice (n={n} parts={parts})");
-                    }
+            while let Some(range) = claims.claim() {
+                for i in range {
+                    assert!(seen.insert(i), "index {i} claimed twice (n={n} parts={parts})");
                 }
             }
             assert_eq!(seen.len(), n, "n={n} parts={parts}");
         }
-    }
-
-    #[test]
-    fn a_thief_drains_a_region_its_owner_never_touches() {
-        let ranges = Ranges::new(64, 2);
-        let mut count = 0;
-        let mut stole = false;
-        // Participant 0 claims everything; region 1's items arrive stolen.
-        while let Some((range, stolen)) = ranges.claim(0) {
-            count += range.len();
-            stole |= stolen;
-        }
-        assert_eq!(count, 64);
-        assert!(stole, "second region must be reached by stealing");
     }
 
     #[test]

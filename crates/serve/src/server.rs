@@ -262,10 +262,8 @@ pub fn serve(opts: ServeOptions) -> io::Result<ServerHandle> {
     storage.enforce();
     // One pool for the daemon's lifetime: every request clones the
     // executor (sharing the pool); shutdown leak reports go to the
-    // daemon's obs, bounded by the join deadline.
-    let executor = Executor::new(opts.threads)
-        .with_pool_obs(&opts.obs)
-        .with_join_deadline(Duration::from_secs(2));
+    // daemon's obs, bounded by the pool's default join deadline.
+    let executor = Executor::new(opts.threads).with_pool_obs(&opts.obs);
     let daemon = Arc::new(Daemon {
         admission: Admission {
             state: Mutex::new(GateState::default()),

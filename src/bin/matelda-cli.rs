@@ -20,7 +20,7 @@
 //!     lake (the oracle protocol of the paper's experiments), print the
 //!     detection report and, because ground truth is available, P/R/F1.
 //!     Variants: standard (default), edf, rs, santos, sf, tpdf, tucf.
-//!     --threads N sizes the run's persistent work-stealing pool
+//!     --threads N sizes the run's persistent thread pool
 //!     (default: available parallelism; 1 = fully inline, no pool
 //!     threads); output is bit-identical at any thread count.
 //!     --mem-budget-bytes N caps dense O(n²) allocations (the HDBSCAN
